@@ -1,18 +1,14 @@
-"""Real executor scaling: serial vs thread vs process wall-clock (Fig. 4a's
-headline dimension, measured instead of simulated), plus the process
-executor's queue-discipline (work-stealing dynamic vs legacy rounds) and
-graph-transport (shared memory vs pickled payload) deltas.
+"""Real executor scaling: serial vs process wall-clock (Fig. 4a's headline
+dimension, measured instead of simulated), plus the process executor's
+graph-transport (shared memory vs pickled payload) delta.
 
 Phase-1 training is zero-communication (Eq. 1/2), so a process pool should
-approach ``min(W, N)``-way speedup on multi-core hardware while the thread
-pool stays GIL-bound and the serial loop anchors the baseline. This bench
-measures the executors on the same task set, checks the determinism
-contract (bit-identical pools across every executor × queue × transport
-combination), and adds a straggler-skewed workload — heterogeneous epoch
-budgets plus one injected fault — where the dynamic queue's immediate
-retry must not lose to round-wise resubmission (the retried task rides
-along with the draining queue instead of waiting out a whole round plus a
-fresh pool spawn).
+approach ``min(W, N)``-way speedup on multi-core hardware while the serial
+loop anchors the baseline. This bench measures the executors on the same
+task set, checks the determinism contract (bit-identical pools across
+every executor × transport combination), and adds a straggler-skewed
+workload — heterogeneous epoch budgets plus one injected fault — whose
+retry rides along with the draining work-stealing queue.
 
 The JSON artifact is consumed by the CI benchmark-smoke job and gated
 against ``benchmarks/baselines/executor_scaling.json`` by
@@ -21,8 +17,6 @@ against ``benchmarks/baselines/executor_scaling.json`` by
 Reduced-size mode: ``REPRO_BENCH_SCALE`` shrinks the dataset and
 ``REPRO_BENCH_EXEC_INGREDIENTS`` / ``REPRO_BENCH_EXEC_EPOCHS`` bound the
 task set, so the sweep stays seconds-cheap in CI.
-``REPRO_BENCH_QUEUE_TOL`` relaxes the dynamic-vs-rounds gate on noisy
-machines (default 1.25).
 """
 
 from __future__ import annotations
@@ -42,15 +36,6 @@ from conftest import BENCH_SCALE, write_artifact
 N_INGREDIENTS = int(os.environ.get("REPRO_BENCH_EXEC_INGREDIENTS", "6"))
 EPOCHS = int(os.environ.get("REPRO_BENCH_EXEC_EPOCHS", "20"))
 WORKERS = max(2, min(4, os.cpu_count() or 1))
-QUEUE_TOL = float(os.environ.get("REPRO_BENCH_QUEUE_TOL", "1.25"))
-
-#: process-executor variants measured beyond the headline executors;
-#: "dynamic+shm" is the process default and reuses the headline run
-PROCESS_VARIANTS = (
-    ("dynamic+noshm", dict(queue="dynamic", shm=False)),
-    ("rounds+shm", dict(queue="rounds", shm=True)),
-    ("rounds+noshm", dict(queue="rounds", shm=False)),
-)
 
 
 def _timed(pools, key, *args, **kwargs):
@@ -88,20 +73,18 @@ def _sweep() -> dict:
         for executor in EXECUTORS
     }
 
-    # -- process-executor variants: queue discipline × graph transport -----
+    # -- process-executor variants: graph transport ------------------------
     # the default combination (dynamic queue + shm) IS the headline
     # "process" row — alias it instead of training the campaign twice
-    variant_rows = {"dynamic+shm": dict(rows["process"])}
-    pools["dynamic+shm"] = pools["process"]
-    variant_rows.update(
-        {
-            name: _timed(pools, name, "gcn", graph, N_INGREDIENTS, executor="process", **opts, **kw)
-            for name, opts in PROCESS_VARIANTS
-        }
-    )
+    variant_rows = {
+        "dynamic+shm": dict(rows["process"]),
+        "dynamic+noshm": _timed(
+            pools, "dynamic+noshm", "gcn", graph, N_INGREDIENTS, executor="process", shm=False, **kw,
+        ),
+    }
 
     # determinism contract: identical ingredients whatever the
-    # executor, queue discipline or graph transport
+    # executor or graph transport
     reference = pools["serial"]
     for key, pool in pools.items():
         _assert_identical(reference, pool)
@@ -112,11 +95,10 @@ def _sweep() -> dict:
     for row in (*rows.values(), *variant_rows.values()):
         row["speedup_vs_serial"] = serial_wall / row["wall_clock_s"]
 
-    # -- straggler-skewed workload: dynamic queue vs rounds ----------------
+    # -- straggler-skewed workload ------------------------------------------
     # heterogeneous epoch budgets (the paper's "variability in ingredient
-    # complexity") plus one faulted attempt: round-wise resubmission burns
-    # a whole extra round + pool spawn on the retry, the work-stealing
-    # queue slots it in while the long tasks still drain
+    # complexity") plus one faulted attempt: the work-stealing queue slots
+    # the retry in while the long tasks still drain
     straggler_kw = dict(
         train_cfg=TrainConfig(epochs=EPOCHS, lr=0.01),
         base_seed=1,
@@ -126,18 +108,11 @@ def _sweep() -> dict:
         fault_plan=FaultPlan(failures={0: 1}),
         max_retries=2,
     )
-    straggler_pools: dict = {}
     straggler = {
-        queue: _timed(
-            straggler_pools, queue, "gcn", graph, N_INGREDIENTS,
-            executor="process", queue=queue, **straggler_kw,
+        "dynamic": _timed(
+            {}, "dynamic", "gcn", graph, N_INGREDIENTS, executor="process", **straggler_kw,
         )
-        for queue in ("rounds", "dynamic")
     }
-    _assert_identical(straggler_pools["rounds"], straggler_pools["dynamic"])
-    straggler["dynamic_over_rounds"] = (
-        straggler["dynamic"]["wall_clock_s"] / straggler["rounds"]["wall_clock_s"]
-    )
 
     return {
         "config": {
@@ -147,7 +122,6 @@ def _sweep() -> dict:
             "epochs": EPOCHS,
             "num_workers": WORKERS,
             "cpu_count": os.cpu_count(),
-            "queue_tolerance": QUEUE_TOL,
         },
         "executors": rows,
         "process_variants": variant_rows,
@@ -156,7 +130,7 @@ def _sweep() -> dict:
 
 
 def test_bench_executor_scaling(benchmark, results_dir):
-    """Executor / queue / transport wall-clock on one shared task set."""
+    """Executor / transport wall-clock on one shared task set."""
     report = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     write_artifact(results_dir, "executor_scaling.json", json.dumps(report, indent=2) + "\n")
     for section in ("executors", "process_variants"):
@@ -166,7 +140,3 @@ def test_bench_executor_scaling(benchmark, results_dir):
     # the process pool must not collapse: even on a 1-core container it
     # stays within a small constant factor of serial (fork + IPC overhead)
     assert report["executors"]["process"]["speedup_vs_serial"] > 0.2
-    # acceptance gate: work-stealing must not lose to round-wise
-    # resubmission on the straggler-skewed workload (tolerance-gated for
-    # noisy shared runners)
-    assert report["straggler"]["dynamic_over_rounds"] <= QUEUE_TOL, report["straggler"]

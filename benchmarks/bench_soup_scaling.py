@@ -1,14 +1,14 @@
-"""Phase-2 souping-engine scaling: serial vs thread vs process evaluators.
+"""Phase-2 souping-engine scaling: serial vs process evaluators.
 
 The paper's Phase-2 bottleneck is GIS's exhaustive line search — ``(N-1)·g``
 full validation forward passes (§III-E). Through the shared candidate-
 evaluation engine each ingredient's whole ratio grid is one evaluator
 batch, so the process backend should approach ``min(W, g)``-way speedup
-while the serial backend anchors the baseline and the thread backend
-shows the GIL ceiling. LS multi-restart selection rides the same engine
-(restart soups scored as one batch), so it is measured too.
+while the serial backend anchors the baseline. LS multi-restart selection
+rides the same engine (restart soups scored as one batch), so it is
+measured too.
 
-This bench sweeps the three backends over one fixed pool and asserts the
+This bench sweeps both backends over one fixed pool and asserts the
 engine's determinism contract along the way: every backend must return a
 bit-identical soup. The JSON artifact is consumed by the CI benchmark-
 smoke job and gated against ``benchmarks/baselines/soup_scaling.json`` by

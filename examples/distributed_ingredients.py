@@ -7,9 +7,9 @@ Demonstrates §III-A of the paper:
 * dynamic task-queue scheduling when N > W (Eq. 1: T ≈ (N/W)·T_single),
 * the ideal N <= W regime (Eq. 2: T = max_i T_i),
 * a cluster-width sweep showing the embarrassingly-parallel speedup curve,
-* determinism: the ingredient set is identical regardless of executor,
-  queue discipline (work-stealing dynamic vs rounds) or graph transport
-  (shared memory vs pickled payloads).
+* determinism: the ingredient set is identical regardless of executor
+  (serial vs process) or graph transport (shared memory vs pickled
+  payloads).
 
 Run:  python examples/distributed_ingredients.py
 
@@ -86,11 +86,10 @@ def main() -> None:
     )
 
     # -- real multi-core execution + determinism + fault recovery ------------
-    # The determinism contract: serial, thread and process executors produce
-    # bit-identical ingredients for the same base_seed — under either queue
-    # discipline (work-stealing "dynamic" is the default; "rounds" is the
-    # legacy fan-out) and either graph transport (one shared-memory segment
-    # per pool by default, pickled payloads with shm=False). With a
+    # The determinism contract: the serial and process executors produce
+    # bit-identical ingredients for the same base_seed — under either graph
+    # transport (one shared-memory segment per pool by default, pickled
+    # payloads with shm=False). With a
     # checkpoint directory, a run that dies mid-pool resumes without
     # retraining finished ingredients, and checkpoint_every=N resumes even
     # *interrupted* ingredients from their last epoch snapshot.
@@ -98,14 +97,14 @@ def main() -> None:
         train_cfg=TrainConfig(epochs=max(4, EPOCHS // 3), lr=0.01), base_seed=0, num_workers=4,
     )
     reference = train_ingredients("gcn", graph, 4, executor="serial", **small_kw)
-    rounds_pool = train_ingredients(
-        "gcn", graph, 4, executor="process", queue="rounds", shm=False, **small_kw,
+    payload_pool = train_ingredients(
+        "gcn", graph, 4, executor="process", shm=False, **small_kw,
     )
     with tempfile.TemporaryDirectory() as ckpt:
         # worker for task 2 dies once (injected fault); the work-stealing
         # queue slots the retry in while the other workers keep draining
         faulted = train_ingredients(
-            "gcn", graph, 4, executor="process", queue="dynamic",
+            "gcn", graph, 4, executor="process",
             checkpoint_dir=ckpt, checkpoint_every=2, fault_plan={2: 1}, **small_kw,
         )
         resumed = train_ingredients(
@@ -114,7 +113,7 @@ def main() -> None:
         )
     identical = all(
         np.array_equal(a[n], b[n]) and np.array_equal(a[n], c[n]) and np.array_equal(a[n], d[n])
-        for a, b, c, d in zip(reference.states, rounds_pool.states, faulted.states, resumed.states)
+        for a, b, c, d in zip(reference.states, payload_pool.states, faulted.states, resumed.states)
         for n in a
     )
     print(

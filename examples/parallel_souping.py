@@ -8,7 +8,7 @@ parallel souping engine introduced on top of the Phase-1 distributed
 substrate:
 
 * one :func:`repro.soup.make_evaluator` per (pool, graph) pair, with
-  ``serial`` / ``thread`` / ``process`` backends behind one API;
+  ``serial`` / ``process`` backends behind one API;
 * the process backend ships the graph AND the pool's stacked flat states
   through shared memory once, then candidates cross the process boundary
   as tiny ``[N]`` weight vectors and are mixed zero-copy in the workers;

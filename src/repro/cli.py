@@ -12,7 +12,7 @@ Subcommands::
     python -m repro train gcn flickr --executor process --workers 4 \
         --checkpoint-dir ckpt/ --checkpoint-every 10 --resume
         # multi-core (work-stealing queue + shared-memory graph), resumable
-        # mid-ingredient; add --queue rounds / --no-shm for the legacy paths
+        # mid-ingredient; add --no-shm to ship pickled graph payloads
     python -m repro soup ls gcn flickr           # soup a cached pool
     python -m repro partition reddit -k 32       # run the METIS-style partitioner
     python -m repro simulate -n 16 -w 4 --fail-at 2.0   # Phase-1 schedule
@@ -40,7 +40,6 @@ import numpy as np
 
 from .distributed import (
     EXECUTORS,
-    QUEUES,
     TRANSPORTS,
     ResilientPoolSimulator,
     WorkerSpec,
@@ -139,7 +138,6 @@ def _get_pool(arch: str, dataset: str, args: argparse.Namespace):
         graph,
         graph_seed=args.seed,
         executor=getattr(args, "executor", "serial"),
-        queue=getattr(args, "queue", "dynamic"),
         shm=getattr(args, "shm", True),
         transport=transport,
         nodes=nodes,
@@ -450,13 +448,7 @@ def _executor_args(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="cluster width W (thread/process pool size and Eq.(1)/(2) simulation)",
-    )
-    p.add_argument(
-        "--queue",
-        default="dynamic",
-        choices=list(QUEUES),
-        help="task dispatch: work-stealing shared queue (dynamic) or legacy rounds",
+        help="cluster width W (process pool size and Eq.(1)/(2) simulation)",
     )
     p.add_argument(
         "--no-shm",
@@ -607,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--soup-workers",
         type=int,
         default=4,
-        help="evaluation workers for --soup-executor thread/process",
+        help="evaluation workers for --soup-executor process",
     )
     p.add_argument(
         "--soup-transport",

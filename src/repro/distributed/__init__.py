@@ -2,8 +2,6 @@
 
 Three layers, lowest first:
 
-* :mod:`~repro.distributed.comm` — MPI-style in-process communicator
-  (point-to-point + collectives), the NCCL stand-in;
 * :mod:`~repro.distributed.scheduler` — deterministic dynamic-queue list
   scheduler validating the paper's Eq. (1)/(2) makespan model, with
   heterogeneous-speed and failure/requeue variants;
@@ -12,26 +10,11 @@ Three layers, lowest first:
   recovery) with pluggable same-host ``pipe`` and multi-host ``tcp``
   transports; both Phase-1 training and the Phase-2 evaluation service
   run on it;
-* :mod:`~repro.distributed.ingredients` / :mod:`~repro.distributed.pipeline`
-  — Phase-1 ingredient production through an executor or through explicit
-  broadcast / task-queue / gather messages.
+* :mod:`~repro.distributed.ingredients` — Phase-1 ingredient production:
+  the in-process serial loop, or the cluster runtime's shared dynamic
+  task queue over process workers.
 """
 
-from .comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    MAX,
-    MIN,
-    PROD,
-    SUM,
-    CommError,
-    Communicator,
-    ReduceOp,
-    SelfComm,
-    ThreadComm,
-    ThreadWorld,
-    run_world,
-)
 from .scheduler import TaskSchedule, WorkerPoolSimulator, eq1_estimate, eq2_min_time
 from .faults import (
     FaultPlan,
@@ -79,22 +62,8 @@ from .eval_service import (
     score_candidate,
     stack_flat_states,
 )
-from .pipeline import PipelineReport, train_ingredients_comm, uniform_soup_allreduce
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "ReduceOp",
-    "CommError",
-    "Communicator",
-    "SelfComm",
-    "ThreadComm",
-    "ThreadWorld",
-    "run_world",
     "TaskSchedule",
     "WorkerPoolSimulator",
     "eq1_estimate",
@@ -136,7 +105,4 @@ __all__ = [
     "IngredientTask",
     "IngredientTrainingError",
     "train_ingredients",
-    "PipelineReport",
-    "train_ingredients_comm",
-    "uniform_soup_allreduce",
 ]

@@ -8,39 +8,32 @@ are then gathered for Phase 2 souping.
 
 ``train_ingredients`` reproduces that pipeline. Determinism contract: the
 ingredient list is a pure function of ``(arch config, graph, base_seed)``
-regardless of executor, queue discipline or graph transport, because each
+regardless of executor or graph transport, because each
 task's RNG derives from ``base_seed + task index``, not from scheduling
 order — the property that makes zero-communication training reproducible
 across cluster layouts. Results are always merged in task-index order.
 
-Executors (× queue disciplines):
+Executors:
 
-* ``"serial"`` — in-process loop (single-core default);
-* ``"thread"`` — ``ThreadPoolExecutor`` (GIL-bound, but overlaps any BLAS
-  releases);
-* ``"process"`` — true multi-core fan-out. Tasks cross the process
-  boundary as picklable :class:`IngredientTask` specs (arch config +
-  derived seed); each worker rebuilds its model from the shared-init seed
-  and receives the graph once — through a
-  :class:`~repro.distributed.shm.SharedGraphBuffer` segment by default
-  (``shm=True``; a few-hundred-byte descriptor per worker instead of a
-  per-worker array pickle), or as a pickled payload with ``shm=False``.
-
-Queue disciplines (``queue=``):
-
-* ``"dynamic"`` (default) — the paper's shared task queue, realised: a
-  persistent worker pool pulls task specs as workers free up, so a
-  straggling or retried task never stalls the rest of the pool, and a
-  hard-killed worker is replaced while its lost task re-enters the queue.
-  The queue runs on the shared cluster runtime
+* ``"serial"`` — the in-process FIFO loop (single-core default, and the
+  reference the determinism tests compare against);
+* ``"process"`` — true multi-core fan-out over the paper's shared task
+  queue: a persistent worker pool pulls task specs as workers free up,
+  so a straggling or retried task never stalls the rest of the pool, and
+  a hard-killed worker is replaced while its lost task re-enters the
+  queue. Tasks cross the process boundary as picklable
+  :class:`IngredientTask` specs (arch config + derived seed); each worker
+  rebuilds its model from the shared-init seed and receives the graph
+  once — through a :class:`~repro.distributed.shm.SharedGraphBuffer`
+  segment by default (``shm=True``; a few-hundred-byte descriptor per
+  worker instead of a per-worker array pickle), or as a pickled payload
+  with ``shm=False``. The queue runs on the shared cluster runtime
   (:mod:`~repro.distributed.cluster`), so its workers can live on this
-  host (``transport="pipe"``) or on other machines
-  (``transport="tcp"`` + ``nodes=["host:port", ...]`` pointing at
-  ``python -m repro cluster start-worker`` instances);
-* ``"rounds"`` — the legacy discipline: fan out everything, wait for the
-  round to finish, resubmit the failures on a fresh pool.
+  host (``transport="pipe"``) or on other machines (``transport="tcp"`` +
+  ``nodes=["host:port", ...]`` pointing at
+  ``python -m repro cluster start-worker`` instances).
 
-All paths share a retry loop: a faulted attempt (injected via
+Both paths share a retry loop: a faulted attempt (injected via
 :class:`~repro.distributed.faults.FaultPlan`, or a worker process dying
 under ``"process"``) is retried up to ``max_retries`` times rather than
 poisoning the pool. With a ``checkpoint_dir``, every completed ingredient
@@ -59,14 +52,6 @@ from __future__ import annotations
 import os
 import warnings
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-    wait,
-)
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,7 +72,6 @@ from .cluster import (
     TcpTransport,
     WorkerLossError,
     WorkerRole,
-    _mp_context,
     parse_nodes,
 )
 from .faults import FaultPlan, SimulatedWorkerFault
@@ -106,10 +90,11 @@ __all__ = [
 ]
 
 #: Executor names accepted by :func:`train_ingredients`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
-#: Queue disciplines accepted by :func:`train_ingredients`.
-QUEUES = ("dynamic", "rounds")
+#: Queue disciplines accepted by :func:`train_ingredients` (only the
+#: paper's shared dynamic queue).
+QUEUES = ("dynamic",)
 
 
 class IngredientTrainingError(RuntimeError):
@@ -268,7 +253,7 @@ def _run_task(
     ``allow_epoch_resume`` the attempt continues from the task's stored
     epoch snapshot (fingerprint-guarded) instead of starting at epoch 1.
     """
-    # _WORKER_GRAPH is set only by the pool-worker initializer, so this
+    # _WORKER_GRAPH is set only by the worker role init (_role_init), so this
     # discriminates "I am a pool worker" (hard-kill is safe) from any
     # other process — including a training driver that itself runs
     # inside a multiprocessing child, which must never be exited
@@ -309,7 +294,7 @@ def _run_task(
     )
 
 
-# Worker-process state, populated once per worker by the pool initializer:
+# Worker-process state, populated once per worker by _role_init:
 # the graph arrives through a shared-memory descriptor or a pickled payload
 # instead of once per task (it dominates task payload size), and the
 # checkpoint handle is opened without the stale-tmp sweep (the driver swept).
@@ -320,11 +305,15 @@ _WORKER_STORE: CheckpointStore | None = None
 _WORKER_CKPT_EVERY: int = 0
 
 
-def _worker_init(graph_ref: dict, store_args: tuple | None = None, checkpoint_every: int = 0) -> None:
+def _role_init(context: dict) -> None:
+    """Cluster-role init: populate the per-worker globals from the shipped
+    context (graph via shm, shards, store or payload; optional checkpoint
+    handle)."""
     global _WORKER_GRAPH, _WORKER_SHM, _WORKER_SOURCE, _WORKER_STORE, _WORKER_CKPT_EVERY
     # a worker forked while a MemoryMeter was active inherits its alloc
     # hooks; worker allocations are not the driver's measurement
     clear_alloc_hooks()
+    graph_ref = context["graph_ref"]
     if graph_ref["kind"] == "shm":
         metrics.inc("transport.shm_attaches")
         _WORKER_SHM = attach_graph(graph_ref["spec"])
@@ -345,6 +334,7 @@ def _worker_init(graph_ref: dict, store_args: tuple | None = None, checkpoint_ev
     else:
         metrics.inc("transport.payload_inits")
         _WORKER_GRAPH = _graph_from_payload(graph_ref["payload"])
+    store_args = context.get("store_args")
     _WORKER_STORE = (
         CheckpointStore(
             store_args[0], store_args[1], sweep_stale=False, keep_epochs=store_args[2]
@@ -352,7 +342,7 @@ def _worker_init(graph_ref: dict, store_args: tuple | None = None, checkpoint_ev
         if store_args
         else None
     )
-    _WORKER_CKPT_EVERY = int(checkpoint_every)
+    _WORKER_CKPT_EVERY = int(context.get("checkpoint_every", 0))
 
 
 def _worker_graph() -> Graph:
@@ -364,28 +354,15 @@ def _worker_graph() -> Graph:
     global _WORKER_GRAPH
     if _WORKER_GRAPH is None and _WORKER_SOURCE is not None:
         _WORKER_GRAPH = _WORKER_SOURCE.graph
-    assert _WORKER_GRAPH is not None, "worker initializer did not run"
+    assert _WORKER_GRAPH is not None, "worker role init did not run"
     return _WORKER_GRAPH
 
 
-def _worker_entry(task: IngredientTask, inject: bool, allow_epoch_resume: bool = False) -> TrainResult:
-    graph = _worker_graph()
-    return _run_task(
-        task, graph, inject, _WORKER_STORE, _WORKER_CKPT_EVERY, allow_epoch_resume
-    )
-
-
-def _role_init(context: dict) -> None:
-    """Cluster-role init: populate the per-worker globals from the shipped
-    context (graph via shm or payload, optional checkpoint handle)."""
-    _worker_init(
-        context["graph_ref"], context.get("store_args"), context.get("checkpoint_every", 0)
-    )
-
-
 def _role_run(_state, payload) -> TrainResult:
-    task, inject, allow = payload
-    return _worker_entry(task, inject, allow)
+    task, inject, allow_epoch_resume = payload
+    return _run_task(
+        task, _worker_graph(), inject, _WORKER_STORE, _WORKER_CKPT_EVERY, allow_epoch_resume
+    )
 
 
 #: The Phase-1 worker role on the shared cluster runtime: resolved by
@@ -400,114 +377,7 @@ INGREDIENT_ROLE = WorkerRole(
 
 
 # ---------------------------------------------------------------------------
-# round-wise discipline (queue="rounds")
-# ---------------------------------------------------------------------------
-
-
-def _serial_round(pending, graph, attempts, faults_left, on_done, store, checkpoint_every, resume):
-    done, failed = [], []
-    for task in pending:
-        attempts[task.index] += 1
-        inject = faults_left[task.index] > 0
-        allow = resume or (attempts[task.index] > 1 and checkpoint_every > 0)
-        try:
-            result = _run_task(task, graph, inject, store, checkpoint_every, allow)
-        except SimulatedWorkerFault:
-            faults_left[task.index] -= 1
-            failed.append(task)
-        else:
-            on_done(task, result)
-            done.append((task, result))
-    return done, failed
-
-
-def _thread_round(pending, graph, num_workers, attempts, faults_left, on_done, store, checkpoint_every, resume):
-    done, failed = [], []
-    with ThreadPoolExecutor(max_workers=num_workers) as pool:
-        future_to_task = {}
-        for task in pending:
-            attempts[task.index] += 1
-            inject = faults_left[task.index] > 0
-            allow = resume or (attempts[task.index] > 1 and checkpoint_every > 0)
-            future_to_task[
-                pool.submit(_run_task, task, graph, inject, store, checkpoint_every, allow)
-            ] = task
-        for future in as_completed(future_to_task):
-            task = future_to_task[future]
-            try:
-                result = future.result()
-            except SimulatedWorkerFault:
-                faults_left[task.index] -= 1
-                failed.append(task)
-            else:
-                on_done(task, result)
-                done.append((task, result))
-    return done, failed
-
-
-def _process_round(
-    pending, graph_ref, num_workers, attempts, faults_left, on_done, store_args, checkpoint_every, resume
-):
-    """One fan-out over a fresh ``ProcessPoolExecutor``.
-
-    A worker that hard-dies breaks the whole pool (every unfinished future
-    raises ``BrokenExecutor``, and further submits raise it synchronously),
-    so the pool is created per round: the affected tasks are simply
-    retried on the next round's fresh pool. Rounds beyond the first only
-    happen after a fault, so the cost of re-forking an (possibly healthy)
-    pool is bounded by ``max_retries`` spawns — accepted for the
-    simplicity of never reasoning about a half-broken executor. (The
-    ``"dynamic"`` discipline replaces both costs: one persistent pool,
-    per-worker replacement.)
-
-    Fault-budget accounting: an exception fault consumes budget only when
-    its ``SimulatedWorkerFault`` actually comes back. A kill fault's
-    budget is consumed when its attempt dies with the pool — a pool
-    collapse counts as the planned death for every in-flight kill-armed
-    attempt (concurrent kill faults may merge into one collapse); a
-    collateral loss of a task with no fault armed consumes nothing, so
-    its planned faults still fire on later attempts.
-    """
-    done, failed = [], []
-    pool = ProcessPoolExecutor(
-        max_workers=min(num_workers, len(pending)),
-        mp_context=_mp_context(),
-        initializer=_worker_init,
-        initargs=(graph_ref, store_args, checkpoint_every),
-    )
-    try:
-        future_to_task = {}
-        injected = {}
-        for task in pending:
-            attempts[task.index] += 1
-            inject = faults_left[task.index] > 0
-            allow = resume or (attempts[task.index] > 1 and checkpoint_every > 0)
-            injected[task.index] = inject
-            try:
-                future_to_task[pool.submit(_worker_entry, task, inject, allow)] = task
-            except BrokenExecutor:
-                failed.append(task)  # pool died mid-submission; retry next round
-        for future in as_completed(future_to_task):
-            task = future_to_task[future]
-            try:
-                result = future.result()
-            except SimulatedWorkerFault:
-                faults_left[task.index] -= 1
-                failed.append(task)
-            except BrokenExecutor:
-                if injected[task.index] and task.kill:
-                    faults_left[task.index] -= 1
-                failed.append(task)
-            else:
-                on_done(task, result)
-                done.append((task, result))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return done, failed
-
-
-# ---------------------------------------------------------------------------
-# work-stealing dynamic queue (queue="dynamic")
+# the shared dynamic task queue
 # ---------------------------------------------------------------------------
 
 
@@ -535,44 +405,6 @@ def _serial_dynamic(pending, graph, max_retries, attempts, faults_left, on_done,
     return results, sorted(exhausted)
 
 
-def _thread_dynamic(
-    pending, graph, num_workers, max_retries, attempts, faults_left, on_done, store, checkpoint_every, resume
-):
-    """Persistent thread pool; a faulted task is resubmitted immediately,
-    so a retry overlaps the still-running tasks instead of waiting for a
-    round boundary."""
-    results, exhausted = {}, []
-    with ThreadPoolExecutor(max_workers=min(num_workers, len(pending))) as pool:
-        future_to_task = {}
-
-        def submit(task):
-            attempts[task.index] += 1
-            inject = faults_left[task.index] > 0
-            allow = resume or (attempts[task.index] > 1 and checkpoint_every > 0)
-            future_to_task[
-                pool.submit(_run_task, task, graph, inject, store, checkpoint_every, allow)
-            ] = task
-
-        for task in pending:
-            submit(task)
-        while future_to_task:
-            finished, _ = wait(list(future_to_task), return_when=FIRST_COMPLETED)
-            for future in finished:
-                task = future_to_task.pop(future)
-                try:
-                    result = future.result()
-                except SimulatedWorkerFault:
-                    faults_left[task.index] -= 1
-                    if attempts[task.index] > max_retries:
-                        exhausted.append(task.index)
-                    else:
-                        submit(task)
-                else:
-                    on_done(task, result)
-                    results[task.index] = result
-    return results, sorted(exhausted)
-
-
 def _process_dynamic(
     pending, transport, max_retries, attempts, faults_left, on_done, checkpoint_every, resume,
     shard_fn=None,
@@ -581,11 +413,11 @@ def _process_dynamic(
 
     Workers are persistent: each pulls the next spec the moment it
     finishes the last, so stragglers never idle the rest of the pool and
-    a retried task rides along with the still-draining queue instead of
-    forcing a fresh fan-out round. A worker that hard-dies (kill fault)
-    costs exactly one worker: its claimed task re-enters the queue and —
-    where the transport owns its workers — a replacement process is
-    spawned, while every other worker keeps its warm graph attachment.
+    a retried task rides along with the still-draining queue. A worker
+    that hard-dies (kill fault) costs exactly one worker: its claimed
+    task re-enters the queue and — where the transport owns its workers —
+    a replacement process is spawned, while every other worker keeps its
+    warm graph attachment.
 
     All protocol mechanics (claim/done bookkeeping, lost-task recovery,
     respawn budget, backlog feeding) live in
@@ -644,6 +476,125 @@ def _process_dynamic(
 # ---------------------------------------------------------------------------
 
 
+def _process_execute(
+    tasks, graph, num_workers, max_retries, store, attempts, faults_left,
+    on_done, shm, checkpoint_every, resume, transport, nodes, shards,
+):
+    """Ship the graph once per pool, then drain the tasks through
+    :func:`_process_dynamic` on a pipe or tcp cluster transport.
+
+    The graph travels through a shared-memory segment owned here (created
+    before the first worker, unlinked in ``finally`` — workers hold views,
+    so the segment must outlive them but never the driver), or as a
+    pickled payload when ``shm=False`` or the platform lacks shared
+    memory. Over the ``tcp`` transport the shared-memory reference still
+    serves same-host workers (loopback ones attach zero-copy); a worker
+    that cannot reach the segment — a genuinely remote node — receives
+    the serialized graph payload instead, pushed once at its handshake.
+    Checkpoint handles ride only with the shared-memory context: a worker
+    that can attach the segment shares the driver's filesystem, a remote
+    one snapshots nothing (the driver still persists every *finished*
+    ingredient it receives back).
+    """
+    store_args = (
+        (str(store.directory.parent), store.fingerprint, store.keep_epochs)
+        if store is not None
+        else None
+    )
+    shm_buffer = None
+    shard_dispatch: ShardDispatch | None = None
+    graph_ref: dict | None = None
+    if shards > 0:
+        # sharded data path: cut once, ship each worker only its
+        # assigned shard at handshake; the rest attach/fetch lazily
+        shard_dispatch = ShardDispatch(graph, shards, shm=shm)
+        graph_ref = shard_dispatch.context_ref()
+    elif graph.is_store_backed:
+        # out-of-core: ship only the store path; workers mmap the
+        # arrays themselves, so no feature bytes cross the transport
+        graph_ref = {
+            "kind": "graph_store",
+            "path": str(graph.store.path),
+            "budget": graph.store.memory_budget,
+        }
+    elif shm:
+        try:
+            shm_buffer = SharedGraphBuffer.create(graph)
+            graph_ref = {"kind": "shm", "spec": shm_buffer.spec}
+        except Exception as exc:  # pragma: no cover - platform-dependent
+            warnings.warn(
+                f"shared-memory graph transport unavailable ({exc!r}); "
+                "falling back to pickled payloads",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    if graph_ref is None:
+        graph_ref = {"kind": "arrays", "payload": _graph_to_payload(graph)}
+
+    try:
+        shm_backed = graph_ref["kind"] == "shm" or (
+            graph_ref["kind"] == "shards" and "specs" in graph_ref
+        )
+        context = {
+            "graph_ref": graph_ref,
+            # over tcp, checkpoint handles only make sense for workers
+            # sharing the driver's host (== the ones that can attach its
+            # shm segment)
+            "store_args": store_args if (transport == "pipe" or shm_backed) else None,
+            "checkpoint_every": checkpoint_every if (transport == "pipe" or shm_backed) else 0,
+        }
+        if transport == "tcp":
+            if shard_dispatch is not None:
+                # a remote worker that cannot attach the shard segments
+                # falls back to a fetch-only ref: same shards, shipped
+                # over its own connection
+                def fallback_context():
+                    return {
+                        "graph_ref": shard_dispatch.context_ref(specs=False),
+                        "store_args": None,
+                        "checkpoint_every": 0,
+                    }
+
+                fallback = fallback_context if shard_dispatch.has_specs else None
+            elif graph_ref["kind"] == "graph_store":
+                # no payload fallback: materialising the feature matrix
+                # would defeat the memory budget, so remote workers must
+                # share the store's filesystem
+                fallback = None
+            else:
+                def fallback_context():
+                    return {
+                        "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)},
+                        "store_args": None,
+                        "checkpoint_every": 0,
+                    }
+
+                fallback = fallback_context
+
+            cluster_transport = TcpTransport(
+                "ingredients",
+                context,
+                fallback_context=fallback,
+                nodes=nodes,
+                spawn_local=0 if nodes else min(num_workers, len(tasks)),
+                shard_source=shard_dispatch,
+            )
+        else:
+            cluster_transport = PipeTransport(
+                "ingredients", context, width=min(num_workers, len(tasks))
+            )
+        return _process_dynamic(
+            tasks, cluster_transport, max_retries, attempts, faults_left,
+            on_done, checkpoint_every, resume,
+            shard_fn=(lambda index: index % shards) if shards > 0 else None,
+        )
+    finally:
+        if shm_buffer is not None:
+            shm_buffer.unlink()
+        if shard_dispatch is not None:
+            shard_dispatch.release()
+
+
 def _execute_tasks(
     tasks: list[IngredientTask],
     graph: Graph,
@@ -651,7 +602,6 @@ def _execute_tasks(
     num_workers: int,
     max_retries: int,
     store: CheckpointStore | None,
-    queue: str,
     shm: bool,
     checkpoint_every: int,
     resume: bool,
@@ -665,27 +615,11 @@ def _execute_tasks(
     mid-run loses only in-flight work, never finished ingredients (and
     with ``checkpoint_every`` not even whole in-flight ingredients). The
     retry budget (``attempts``) counts every submitted attempt, including
-    ones lost collaterally to a round-mode pool collapse; the
-    fault-injection budget (``faults_left``) counts only faults that
-    actually fired.
-
-    For the process executor the graph ships once per pool: through a
-    shared-memory segment owned here (created before the first worker,
-    unlinked in ``finally`` — workers hold views, so the segment must
-    outlive them but never the driver), or as a pickled payload when
-    ``shm=False`` or the platform lacks shared memory. Over the ``tcp``
-    transport the shared-memory reference still serves same-host workers
-    (loopback ones attach zero-copy); a worker that cannot reach the
-    segment — a genuinely remote node — receives the serialized graph
-    payload instead, pushed once at its handshake. Checkpoint handles
-    ride only with the shared-memory context: a worker that can attach
-    the segment shares the driver's filesystem, a remote one snapshots
-    nothing (the driver still persists every *finished* ingredient it
-    receives back).
+    ones lost collaterally with a dead worker; the fault-injection budget
+    (``faults_left``) counts only faults that actually fired.
     """
-    results: dict[int, TrainResult] = {}
     if not tasks:
-        return results
+        return {}
     attempts = {task.index: 0 for task in tasks}
     faults_left = {task.index: task.fail_attempts for task in tasks}
 
@@ -698,147 +632,20 @@ def _execute_tasks(
             store.save(task.index, result)
             store.clear_epoch(task.index)
 
-    store_args = (
-        (str(store.directory.parent), store.fingerprint, store.keep_epochs)
-        if store is not None
-        else None
-    )
-
-    shm_buffer = None
-    shard_dispatch: ShardDispatch | None = None
-    graph_ref: dict | None = None
-    if executor == "process":
-        if shards > 0:
-            # sharded data path: cut once, ship each worker only its
-            # assigned shard at handshake; the rest attach/fetch lazily
-            shard_dispatch = ShardDispatch(graph, shards, shm=shm)
-            graph_ref = shard_dispatch.context_ref()
-        elif graph.is_store_backed:
-            # out-of-core: ship only the store path; workers mmap the
-            # arrays themselves, so no feature bytes cross the transport
-            graph_ref = {
-                "kind": "graph_store",
-                "path": str(graph.store.path),
-                "budget": graph.store.memory_budget,
-            }
-        elif shm:
-            try:
-                shm_buffer = SharedGraphBuffer.create(graph)
-                graph_ref = {"kind": "shm", "spec": shm_buffer.spec}
-            except Exception as exc:  # pragma: no cover - platform-dependent
-                warnings.warn(
-                    f"shared-memory graph transport unavailable ({exc!r}); "
-                    "falling back to pickled payloads",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if graph_ref is None:
-            graph_ref = {"kind": "arrays", "payload": _graph_to_payload(graph)}
-
-    try:
-        if queue == "dynamic":
-            if executor == "process":
-                shm_backed = graph_ref["kind"] == "shm" or (
-                    graph_ref["kind"] == "shards" and "specs" in graph_ref
-                )
-                context = {
-                    "graph_ref": graph_ref,
-                    # over tcp, checkpoint handles only make sense for
-                    # workers sharing the driver's host (== the ones that
-                    # can attach its shm segment)
-                    "store_args": store_args if (transport == "pipe" or shm_backed) else None,
-                    "checkpoint_every": checkpoint_every if (transport == "pipe" or shm_backed) else 0,
-                }
-                if transport == "tcp":
-                    if shard_dispatch is not None:
-                        # a remote worker that cannot attach the shard
-                        # segments falls back to a fetch-only ref: same
-                        # shards, shipped over its own connection
-                        def fallback_context():
-                            return {
-                                "graph_ref": shard_dispatch.context_ref(specs=False),
-                                "store_args": None,
-                                "checkpoint_every": 0,
-                            }
-
-                        fallback = fallback_context if shard_dispatch.has_specs else None
-                    elif graph_ref["kind"] == "graph_store":
-                        # no payload fallback: materialising the feature
-                        # matrix would defeat the memory budget, so remote
-                        # workers must share the store's filesystem
-                        fallback = None
-                    else:
-                        def fallback_context():
-                            return {
-                                "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)},
-                                "store_args": None,
-                                "checkpoint_every": 0,
-                            }
-
-                        fallback = fallback_context
-
-                    cluster_transport = TcpTransport(
-                        "ingredients",
-                        context,
-                        fallback_context=fallback,
-                        nodes=nodes,
-                        spawn_local=0 if nodes else min(num_workers, len(tasks)),
-                        shard_source=shard_dispatch,
-                    )
-                else:
-                    cluster_transport = PipeTransport(
-                        "ingredients", context, width=min(num_workers, len(tasks))
-                    )
-                results, exhausted = _process_dynamic(
-                    tasks, cluster_transport, max_retries, attempts, faults_left,
-                    on_done, checkpoint_every, resume,
-                    shard_fn=(lambda index: index % shards) if shards > 0 else None,
-                )
-            elif executor == "thread":
-                results, exhausted = _thread_dynamic(
-                    tasks, graph, num_workers, max_retries, attempts, faults_left,
-                    on_done, store, checkpoint_every, resume,
-                )
-            else:
-                results, exhausted = _serial_dynamic(
-                    tasks, graph, max_retries, attempts, faults_left,
-                    on_done, store, checkpoint_every, resume,
-                )
-            if exhausted:
-                raise IngredientTrainingError(
-                    f"task(s) {sorted(exhausted)} still failing after {max_retries + 1} attempt(s)"
-                )
-        else:
-            pending = list(tasks)
-            while pending:
-                if executor == "process":
-                    done, failed = _process_round(
-                        pending, graph_ref, num_workers, attempts, faults_left,
-                        on_done, store_args, checkpoint_every, resume,
-                    )
-                elif executor == "thread":
-                    done, failed = _thread_round(
-                        pending, graph, num_workers, attempts, faults_left,
-                        on_done, store, checkpoint_every, resume,
-                    )
-                else:
-                    done, failed = _serial_round(
-                        pending, graph, attempts, faults_left,
-                        on_done, store, checkpoint_every, resume,
-                    )
-                for task, result in done:
-                    results[task.index] = result
-                exhausted = sorted(t.index for t in failed if attempts[t.index] > max_retries)
-                if exhausted:
-                    raise IngredientTrainingError(
-                        f"task(s) {exhausted} still failing after {max_retries + 1} attempt(s)"
-                    )
-                pending = failed
-    finally:
-        if shm_buffer is not None:
-            shm_buffer.unlink()
-        if shard_dispatch is not None:
-            shard_dispatch.release()
+    if executor == "serial":
+        results, exhausted = _serial_dynamic(
+            tasks, graph, max_retries, attempts, faults_left,
+            on_done, store, checkpoint_every, resume,
+        )
+    else:
+        results, exhausted = _process_execute(
+            tasks, graph, num_workers, max_retries, store, attempts, faults_left,
+            on_done, shm, checkpoint_every, resume, transport, nodes, shards,
+        )
+    if exhausted:
+        raise IngredientTrainingError(
+            f"task(s) {sorted(exhausted)} still failing after {max_retries + 1} attempt(s)"
+        )
     return results
 
 
@@ -879,18 +686,17 @@ def train_ingredients(
     ----------
     num_workers:
         Cluster width W used for the makespan simulation (Eq. 1/2) and as
-        the pool width for the ``"thread"`` and ``"process"`` executors.
+        the pool width for the ``"process"`` executor.
     executor:
-        ``"serial"`` | ``"thread"`` | ``"process"`` — identical ingredients
-        for the same ``base_seed`` (the determinism contract).
+        ``"serial"`` | ``"process"`` — identical ingredients for the same
+        ``base_seed`` (the determinism contract).
     queue:
-        ``"dynamic"`` (default) — persistent workers pull from one shared
-        task queue, so stragglers and retries never stall the pool;
-        ``"rounds"`` — legacy fan-out/retry rounds. Same pool either way.
+        Only ``"dynamic"``: workers pull from one shared task queue, so
+        stragglers and retries never stall the pool.
     shm:
         Ship the graph to process workers through one
         ``multiprocessing.shared_memory`` segment (default) instead of a
-        per-pool pickled payload; ignored by the in-process executors and
+        per-pool pickled payload; ignored by the serial executor and
         silently downgraded where shared memory is unavailable.
     transport:
         How the dynamic queue reaches its process workers: ``"pipe"``
@@ -898,7 +704,7 @@ def train_ingredients(
         (socket workers that may live on other hosts). With ``"tcp"``
         and no ``nodes``, loopback workers are spawned locally — the
         single-host proof of the multi-node path. Requires
-        ``executor="process"`` and ``queue="dynamic"``.
+        ``executor="process"``.
     nodes:
         Remote worker addresses for the tcp transport — a
         ``"host:port,host:port"`` string or a sequence of specs, each a
@@ -914,9 +720,8 @@ def train_ingredients(
         or fetched over the worker's own connection at its first task,
         then reassembled into the bit-exact original graph. ``0``
         (default) ships the full graph as before. Requires
-        ``executor="process"`` with the dynamic queue; over ``"pipe"``
-        the shards travel via shared memory, so ``shm=True`` is
-        required there.
+        ``executor="process"``; over ``"pipe"`` the shards travel via
+        shared memory, so ``shm=True`` is required there.
     epoch_jitter:
         Optional ± range on each ingredient's epoch budget (drawn from its
         task seed). The paper notes "variability in ingredient complexity
@@ -961,19 +766,13 @@ def train_ingredients(
     nodes = parse_nodes(nodes)
     if nodes and transport != "tcp":
         raise ValueError("worker nodes require transport='tcp'")
-    if transport == "tcp":
-        if executor != "process":
-            raise ValueError("transport='tcp' requires executor='process'")
-        if queue != "dynamic":
-            raise ValueError("transport='tcp' requires the dynamic queue discipline")
+    if transport == "tcp" and executor != "process":
+        raise ValueError("transport='tcp' requires executor='process'")
     if shards < 0:
         raise ValueError("shards cannot be negative")
     if shards > 0:
-        if executor != "process" or queue != "dynamic":
-            raise ValueError(
-                "sharded dispatch (shards > 0) requires executor='process' "
-                "with the dynamic queue discipline"
-            )
+        if executor != "process":
+            raise ValueError("sharded dispatch (shards > 0) requires executor='process'")
         if transport == "pipe" and not shm:
             raise ValueError(
                 "sharded dispatch over the pipe transport requires shm=True "
@@ -1056,7 +855,7 @@ def train_ingredients(
     todo = [task for task in tasks if task.index not in preloaded]
     trained = _execute_tasks(
         todo, graph, executor, num_workers, max_retries, store,
-        queue, shm, checkpoint_every, resume, transport, nodes, shards,
+        shm, checkpoint_every, resume, transport, nodes, shards,
     )
     results = [preloaded[i] if i in preloaded else trained[i] for i in range(n_ingredients)]
 

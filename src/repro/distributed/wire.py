@@ -7,8 +7,8 @@ machinery exactly on the protocol's hottest, smallest messages: candidate
 weight-vector tasks, scalar-score completions and prediction-row replies,
 of which a souping run or serving session sends tens of thousands.
 
-This module splits the pickle path from a buffer path, mpi4py-style (the
-same lowercase/uppercase split :mod:`repro.distributed.comm` documents):
+This module splits the pickle path from a buffer path, mpi4py-style
+(lowercase methods for generic objects, uppercase for buffers):
 messages whose shape is *fixed and known* are packed with preallocated
 :class:`struct.Struct` codecs straight into one ``bytearray`` (a single
 buffer, reused header structs, raw ndarray bytes — no object graph walk);

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from ..cli import _eval_batch_arg
-from ..distributed import EXECUTORS, QUEUES, TRANSPORTS
+from ..distributed import EXECUTORS, TRANSPORTS
 from ..graph import dataset_names, load_dataset
 from ..soup import SOUP_EXECUTORS
 from .cache import get_or_train_pool
@@ -48,13 +48,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         "--executor",
         default="serial",
         choices=list(EXECUTORS),
-        help="Phase-1 executor for uncached pools (serial/thread/process)",
-    )
-    parser.add_argument(
-        "--queue",
-        default="dynamic",
-        choices=list(QUEUES),
-        help="task dispatch for uncached pools (work-stealing dynamic or legacy rounds)",
+        help="Phase-1 executor for uncached pools (serial/process)",
     )
     parser.add_argument(
         "--no-shm",
@@ -101,7 +95,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         "--soup-workers",
         type=int,
         default=4,
-        help="evaluation workers for --soup-executor thread/process",
+        help="evaluation workers for --soup-executor process",
     )
     parser.add_argument(
         "--soup-transport",
@@ -155,7 +149,6 @@ def _run_grid(args: argparse.Namespace):
             graph,
             graph_seed=args.seed,
             executor=args.executor,
-            queue=args.queue,
             shm=args.shm,
             transport=args.transport,
             nodes=args.nodes,

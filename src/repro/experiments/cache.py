@@ -110,7 +110,6 @@ def get_or_train_pool(
     graph: Graph,
     graph_seed: int = 0,
     executor: str = "serial",
-    queue: str = "dynamic",
     shm: bool = True,
     transport: str = "pipe",
     nodes=None,
@@ -124,12 +123,12 @@ def get_or_train_pool(
 ) -> IngredientPool:
     """Load the spec's pool from cache, training and persisting on a miss.
 
-    ``executor``/``queue``/``shm``/``transport``/``nodes``/``shards``/
+    ``executor``/``shm``/``transport``/``nodes``/``shards``/
     ``checkpoint_dir``/``checkpoint_every``/``checkpoint_keep``/``resume``
     pass through to :func:`repro.distributed.train_ingredients` on a
     miss; none of them enter the cache key because the determinism
-    contract makes the pool identical across executors, queue disciplines
-    and transports (including remote tcp workers and sharded dispatch).
+    contract makes the pool identical across executors and transports
+    (including remote tcp workers and sharded dispatch).
     ``prefetch_depth``/``sample_workers`` override the spec's sampling-
     pipeline knobs — also determinism-neutral, also outside the key.
     """
@@ -158,7 +157,6 @@ def get_or_train_pool(
         graph,
         n_ingredients=spec.n_ingredients,
         executor=executor,
-        queue=queue,
         shm=shm,
         transport=transport,
         nodes=nodes,

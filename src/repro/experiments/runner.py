@@ -138,7 +138,6 @@ def run_cell(
     graph_seed: int = 0,
     n_soups: int | None = None,
     executor: str = "serial",
-    queue: str = "dynamic",
     shm: bool = True,
     transport: str = "pipe",
     nodes=None,
@@ -158,7 +157,7 @@ def run_cell(
 ) -> CellResult:
     """Execute one cell; ``graph``/``pool`` injectable for tests and benches.
 
-    ``executor``/``queue``/``shm``/``transport``/``nodes``/
+    ``executor``/``shm``/``transport``/``nodes``/
     ``checkpoint_dir``/``checkpoint_every``/``resume`` govern Phase-1
     training on a pool-cache miss; ``prefetch_depth``/``sample_workers``
     override the spec's sampling-pipeline knobs for minibatch cells
@@ -189,7 +188,6 @@ def run_cell(
             graph,
             graph_seed,
             executor=executor,
-            queue=queue,
             shm=shm,
             transport=transport,
             nodes=nodes,
@@ -282,7 +280,6 @@ def run_grid(
     n_soups: int | None = None,
     verbose: bool = False,
     executor: str = "serial",
-    queue: str = "dynamic",
     shm: bool = True,
     transport: str = "pipe",
     nodes=None,
@@ -307,7 +304,6 @@ def run_grid(
                 graph_seed=graph_seed,
                 n_soups=n_soups,
                 executor=executor,
-                queue=queue,
                 shm=shm,
                 transport=transport,
                 nodes=nodes,

@@ -624,6 +624,12 @@ class PredictionServer:
         self._stop.set()
         self._inbox.put(("wake",))
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the accept thread's join is prompt
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -15,7 +15,6 @@ from .engine import (
     Evaluator,
     ProcessEvaluator,
     SerialEvaluator,
-    ThreadEvaluator,
     basis_weights,
     make_evaluator,
     member_weights,
@@ -59,7 +58,6 @@ __all__ = [
     "Candidate",
     "Evaluator",
     "SerialEvaluator",
-    "ThreadEvaluator",
     "ProcessEvaluator",
     "make_evaluator",
     "average",

@@ -4,11 +4,9 @@ Every Phase-2 algorithm reduces its inner loop to "score this candidate
 on a node split": GIS line-searches an interpolation-ratio grid, greedy
 souping scores tentative member sets, RADIN confirms accepted candidates,
 LS/PLS select among restarts, the extensions score per-epoch mixtures.
-This module gives all of them one :class:`Evaluator` with three backends:
+This module gives all of them one :class:`Evaluator` with two backends:
 
 * ``"serial"``  — one in-process model (the default; zero overhead);
-* ``"thread"``  — a thread pool over per-thread models (GIL-bound, but
-  overlaps BLAS releases);
 * ``"process"`` — the :class:`~repro.distributed.eval_service.EvalService`
   worker pool: candidates cross the process boundary as tiny weight
   vectors and are mixed zero-copy from the pool's shared-memory flat-state
@@ -34,7 +32,7 @@ non-linear candidates (masked sparse soups, fine-tuned states).
 Determinism contract: all backends share one mixing kernel
 (:func:`~repro.distributed.eval_service.mix_candidate`) and one scoring
 routine, so for a fixed seed every souping method returns bit-identical
-``SoupResult.state_dict`` / ``val_acc`` across serial × thread × process.
+``SoupResult.state_dict`` / ``val_acc`` across serial × process.
 Wall-time and peak-memory *measurements* naturally differ (that is the
 point); only the results are contractual.
 """
@@ -44,11 +42,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import queue as queue_mod
 import threading
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -73,7 +69,6 @@ __all__ = [
     "Candidate",
     "Evaluator",
     "SerialEvaluator",
-    "ThreadEvaluator",
     "ProcessEvaluator",
     "make_evaluator",
     "evaluation",
@@ -84,7 +79,7 @@ __all__ = [
 
 #: Evaluator backends accepted by :func:`make_evaluator` (and the
 #: ``--soup-executor`` CLI flag).
-SOUP_EXECUTORS = ("serial", "thread", "process")
+SOUP_EXECUTORS = ("serial", "process")
 
 #: Default capacity (entries) of the evaluator-side candidate-score
 #: cache. Entries are 16-byte digests mapping to scalar accuracies, so
@@ -443,51 +438,6 @@ class SerialEvaluator(Evaluator):
         return out
 
 
-class ThreadEvaluator(Evaluator):
-    """Thread-pool evaluation over a borrow-pool of per-thread models."""
-
-    backend = "thread"
-
-    def __init__(
-        self,
-        pool: IngredientPool,
-        graph: Graph,
-        num_workers: int = 4,
-        cache_size: int = DEFAULT_SCORE_CACHE,
-        cache_path=None,
-    ) -> None:
-        super().__init__(pool, graph, cache_size=cache_size, cache_path=cache_path)
-        self.num_workers = _validate_num_workers(num_workers)
-        self._executor: ThreadPoolExecutor | None = None
-        self._models: queue_mod.LifoQueue = queue_mod.LifoQueue()
-
-    @property
-    def batch_width(self) -> int:
-        return self.num_workers
-
-    def _score_one(self, cand: Candidate):
-        try:
-            model = self._models.get_nowait()
-        except queue_mod.Empty:
-            model = self.pool.make_model()
-        try:
-            state = cand.state if cand.state is not None else self.mix(cand.weights, cand.groups)
-            return score_candidate(model, self.graph, state, cand.split, cand.indices, cand.kind)
-        finally:
-            self._models.put(model)
-
-    def _evaluate(self, candidates: list[Candidate]) -> list:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.num_workers)
-        return list(self._executor.map(self._score_one, candidates))
-
-    def close(self) -> None:
-        super().close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 class ProcessEvaluator(Evaluator):
     """Multiprocess evaluation through the shared-memory eval service."""
 
@@ -667,10 +617,6 @@ def make_evaluator(
         )
     if shards and backend != "process":
         raise ValueError(f"shards require backend='process', got backend={backend!r}")
-    if backend == "thread":
-        return ThreadEvaluator(
-            pool, graph, num_workers=num_workers, cache_size=cache_size, cache_path=cache_path
-        )
     if backend == "process":
         return ProcessEvaluator(
             pool, graph, num_workers=num_workers, shm=shm,

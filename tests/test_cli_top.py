@@ -42,12 +42,15 @@ class TestParser:
         assert args.checkpoint_dir == "ckpt" and args.resume is True
 
     def test_soup_accepts_executor_flags(self):
-        args = build_parser().parse_args(["soup", "ls", "gcn", "flickr", "--executor", "thread"])
-        assert args.executor == "thread"
+        args = build_parser().parse_args(["soup", "ls", "gcn", "flickr", "--executor", "process"])
+        assert args.executor == "process"
 
     def test_bad_executor_rejected(self):
+        for flags in (["--executor", "mpi"], ["--executor", "thread"], ["--queue", "rounds"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["train", "gcn", "flickr", *flags])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "gcn", "flickr", "--executor", "mpi"])
+            build_parser().parse_args(["soup", "us", "gcn", "flickr", "--soup-executor", "thread"])
 
 
 class TestInformationalCommands:

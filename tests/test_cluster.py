@@ -230,7 +230,7 @@ class TestValidationAndStructure:
 
     def test_tcp_requires_process_executor(self, tiny_graph):
         with pytest.raises(ValueError, match="process"):
-            train_ingredients("gcn", tiny_graph, 1, executor="thread", transport="tcp", **KW)
+            train_ingredients("gcn", tiny_graph, 1, executor="serial", transport="tcp", **KW)
 
     def test_tcp_requires_dynamic_queue(self, tiny_graph):
         with pytest.raises(ValueError, match="dynamic"):
@@ -242,11 +242,10 @@ class TestValidationAndStructure:
     def test_evaluator_nodes_require_process_backend(self, gcn_pool, tiny_graph):
         """--soup-nodes with a non-process backend must error, never
         silently score locally while the user believes nodes are working."""
-        for backend in ("serial", "thread"):
-            with pytest.raises(ValueError, match="process"):
-                make_evaluator(gcn_pool, tiny_graph, backend=backend, nodes="h:1")
-            with pytest.raises(ValueError, match="process"):
-                make_evaluator(gcn_pool, tiny_graph, backend=backend, transport="tcp")
+        with pytest.raises(ValueError, match="process"):
+            make_evaluator(gcn_pool, tiny_graph, backend="serial", nodes="h:1")
+        with pytest.raises(ValueError, match="process"):
+            make_evaluator(gcn_pool, tiny_graph, backend="serial", transport="tcp")
 
     def test_parse_nodes(self):
         assert parse_nodes(None) is None

@@ -274,10 +274,6 @@ class TestPhase1Sharded:
     def test_shards_require_process_dynamic(self, tiny_graph):
         with pytest.raises(ValueError, match="shards"):
             train_ingredients("gcn", tiny_graph, 2, shards=2)
-        with pytest.raises(ValueError, match="shards"):
-            train_ingredients(
-                "gcn", tiny_graph, 2, executor="process", queue="rounds", shards=2
-            )
 
     def test_pipe_shards_require_shm(self, tiny_graph):
         with pytest.raises(ValueError, match="shm"):

@@ -183,16 +183,6 @@ class TestTrainIngredients:
             for name in s1:
                 np.testing.assert_array_equal(s1[name], s2[name])
 
-    def test_thread_executor_matches_serial(self, tiny_graph):
-        kw = dict(
-            train_cfg=TrainConfig(epochs=4, lr=0.05), base_seed=3, hidden_dim=8,
-        )
-        serial = train_ingredients("gcn", tiny_graph, n_ingredients=3, executor="serial", **kw)
-        threaded = train_ingredients("gcn", tiny_graph, n_ingredients=3, executor="thread", num_workers=3, **kw)
-        for s1, s2 in zip(serial.states, threaded.states):
-            for name in s1:
-                np.testing.assert_array_equal(s1[name], s2[name])
-
     def test_epoch_jitter_varies_quality(self, tiny_graph):
         pool = train_ingredients(
             "gcn", tiny_graph, n_ingredients=4,

@@ -2,7 +2,7 @@
 
 The determinism contract under test: for a fixed ``base_seed`` the
 ingredient pool is a pure function of ``(arch config, graph, base_seed)``
-— identical across the ``serial``, ``thread`` and ``process`` executors,
+— identical across the ``serial`` and ``process`` executors,
 across injected faults (retries retrain bit-identical replicas), and
 across checkpoint-resumed runs.
 """
@@ -64,8 +64,12 @@ class TestExecutorEquivalence:
         assert_pools_identical(serial, proc)
 
     def test_unknown_executor_rejected(self, tiny_graph):
-        with pytest.raises(ValueError):
-            train_ingredients("gcn", tiny_graph, 1, executor="mpi", **KW)
+        for executor in ("mpi", "thread"):
+            with pytest.raises(ValueError) as info:
+                train_ingredients("gcn", tiny_graph, 1, executor=executor, **KW)
+            message = str(info.value)
+            assert "\n" not in message
+            assert all(repr(name) in message for name in EXECUTORS)
 
     def test_invalid_worker_count_rejected(self, tiny_graph):
         with pytest.raises(ValueError):
@@ -80,7 +84,8 @@ class TestExecutorEquivalence:
 
 class TestExecutionMatrix:
     """The full determinism matrix of the acceptance contract: the pool is
-    bit-identical across executor × queue discipline × graph transport."""
+    bit-identical across executor × graph transport (the queue is always
+    the shared dynamic one)."""
 
     @pytest.mark.parametrize("shm", [True, False], ids=["shm", "noshm"])
     @pytest.mark.parametrize("queue", list(QUEUES))
@@ -93,8 +98,12 @@ class TestExecutionMatrix:
         assert_pools_identical(serial_pool, pool)
 
     def test_unknown_queue_rejected(self, tiny_graph):
-        with pytest.raises(ValueError, match="queue"):
-            train_ingredients("gcn", tiny_graph, 1, queue="lifo", **KW)
+        for queue in ("lifo", "rounds"):
+            with pytest.raises(ValueError, match="queue") as info:
+                train_ingredients("gcn", tiny_graph, 1, queue=queue, **KW)
+            message = str(info.value)
+            assert "\n" not in message
+            assert all(repr(name) in message for name in QUEUES)
 
     def test_dynamic_pool_survives_task_sets_beyond_pipe_capacity(self, tiny_graph):
         """The shared task pipe holds only ~64KB (~130 pickled specs); the
@@ -106,17 +115,17 @@ class TestExecutionMatrix:
         )
         assert len(pool) == 150
 
-    @pytest.mark.parametrize("queue", list(QUEUES))
-    def test_dynamic_and_rounds_share_checkpoints(self, tiny_graph, tmp_path, queue):
-        """Same run fingerprint whatever the discipline: a rounds-mode
-        checkpoint directory resumes a dynamic-mode run and vice versa."""
-        other = "rounds" if queue == "dynamic" else "dynamic"
+    @pytest.mark.parametrize("executor", list(EXECUTORS))
+    def test_executors_share_checkpoints(self, tiny_graph, tmp_path, executor):
+        """Same run fingerprint whatever the executor: a checkpoint
+        directory written by one executor resumes a run on the other."""
+        other = "serial" if executor == "process" else "process"
         train_ingredients(
-            "gcn", tiny_graph, 2, executor="serial", queue=other,
+            "gcn", tiny_graph, 2, executor=other, num_workers=2,
             checkpoint_dir=tmp_path, **KW,
         )
         poisoned = train_ingredients(
-            "gcn", tiny_graph, 2, executor="serial", queue=queue,
+            "gcn", tiny_graph, 2, executor=executor, num_workers=2,
             checkpoint_dir=tmp_path, resume=True,
             fault_plan={0: 99, 1: 99}, max_retries=0, **KW,
         )
@@ -135,9 +144,8 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("queue", list(QUEUES))
     def test_hard_killed_process_worker_is_retried(self, tiny_graph, serial_pool, queue):
-        """kill=True fail-stops the worker process; under "rounds" the next
-        round's fresh pool retrains the lost task, under "dynamic" the
-        task re-enters the shared queue and a replacement worker spawns."""
+        """kill=True fail-stops the worker process; the lost task re-enters
+        the shared queue and a replacement worker spawns."""
         pool = train_ingredients(
             "gcn", tiny_graph, 3, executor="process", num_workers=2, queue=queue,
             fault_plan=FaultPlan(failures={0: 1}, kill=True), **KW,

@@ -296,6 +296,22 @@ class TestPredictionServerCluster:
                 # and the server keeps serving afterwards
                 assert np.array_equal(client.predict([120]), ref[[120]])
 
+    def test_close_returns_promptly(self, served):
+        """close() must wake the accept thread instead of waiting out its
+        join timeout."""
+        pool, graph, state, ref = served
+        config = ServeConfig(backend="pipe", num_workers=1, cache_nodes=0, max_wait_s=0.001)
+        srv = PredictionServer(pool.model_config, graph, [state], config=config)
+        try:
+            srv.start()
+            host, port = srv.address
+            with ServeClient(host, port) as client:
+                assert np.array_equal(client.predict([0]), ref[[0]])
+        finally:
+            started = time.monotonic()
+            srv.close()
+        assert time.monotonic() - started < 1.0
+
     def test_ensemble_over_workers_matches_serial_ensemble(self, served):
         pool, graph, _state, _ref = served
         states = [dict(s) for s in pool.states]

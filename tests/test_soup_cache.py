@@ -15,7 +15,6 @@ import pytest
 from repro.soup import (
     Candidate,
     ProcessEvaluator,
-    ThreadEvaluator,
     greedy_soup,
     gis_soup,
     make_evaluator,
@@ -200,11 +199,7 @@ class TestWorkerCountValidation:
     @pytest.mark.parametrize("bad", [True, False, 2.5, "4", None])
     def test_make_evaluator_rejects_non_integers(self, gcn_pool, tiny_graph, bad):
         with pytest.raises(ValueError, match="integer"):
-            make_evaluator(gcn_pool, tiny_graph, backend="thread", num_workers=bad)
-
-    def test_thread_evaluator_rejects_bool(self, gcn_pool, tiny_graph):
-        with pytest.raises(ValueError, match="integer"):
-            ThreadEvaluator(gcn_pool, tiny_graph, num_workers=True)
+            make_evaluator(gcn_pool, tiny_graph, backend="process", num_workers=bad)
 
     def test_process_evaluator_rejects_bool(self, gcn_pool, tiny_graph):
         with pytest.raises(ValueError, match="integer"):

@@ -3,7 +3,7 @@
 The acceptance contract under test: every registered souping method runs
 through the shared evaluator and returns bit-identical
 ``SoupResult.state_dict`` / ``val_acc`` / ``test_acc`` across the
-``serial`` × ``thread`` × ``process`` backends for a fixed seed — the
+``serial`` × ``process`` backends for a fixed seed — the
 Phase-2 mirror of the Phase-1 executor determinism matrix.
 """
 
@@ -59,7 +59,7 @@ def assert_results_identical(a, b, label):
 
 
 class TestBackendDeterminism:
-    """All 12 methods × serial/thread/process: bit-identical results."""
+    """All 12 methods × serial/process: bit-identical results."""
 
     @pytest.fixture(scope="class")
     def serial_results(self, gcn_pool, tiny_graph):
@@ -178,8 +178,12 @@ class TestEvaluatorApi:
             ev.evaluate([Candidate(weights=np.full(len(gcn_pool), 0.25))])
 
     def test_unknown_backend_rejected(self, gcn_pool, tiny_graph):
-        with pytest.raises(ValueError, match="soup executor"):
-            make_evaluator(gcn_pool, tiny_graph, backend="mpi")
+        for backend in ("mpi", "thread"):
+            with pytest.raises(ValueError, match="soup executor") as info:
+                make_evaluator(gcn_pool, tiny_graph, backend=backend)
+            message = str(info.value)
+            assert "\n" not in message
+            assert all(repr(name) in message for name in SOUP_EXECUTORS)
 
     def test_logits_kind_matches_eval_logits(self, gcn_pool, tiny_graph):
         from repro.train import evaluate_logits
@@ -253,10 +257,10 @@ class TestRunnerIntegration:
         spec = make_spec("flickr", "gcn", n_soups=2)
         kw = dict(methods=("us", "greedy"), graph=tiny_graph, pool=gcn_pool, n_soups=2)
         serial = run_cell(spec, **kw)
-        threaded = run_cell(spec, soup_executor="thread", soup_workers=3, **kw)
+        parallel = run_cell(spec, soup_executor="process", soup_workers=2, **kw)
         for method in ("us", "greedy"):
-            assert serial.stats[method].test_accs == threaded.stats[method].test_accs
-            assert serial.stats[method].val_accs == threaded.stats[method].val_accs
+            assert serial.stats[method].test_accs == parallel.stats[method].test_accs
+            assert serial.stats[method].val_accs == parallel.stats[method].val_accs
 
 
 class TestModelOwnership:

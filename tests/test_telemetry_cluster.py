@@ -2,7 +2,7 @@
 
 The acceptance contract under test: enabling telemetry must not perturb
 a single bit of either phase's results in any execution mode (serial ×
-thread × process-pipe × process-tcp), worker snapshots must aggregate
+process-pipe × process-tcp), worker snapshots must aggregate
 driver-side over both transports (including across a kill-fault
 respawn), and the Chrome trace export must carry one track per
 worker/node.
@@ -22,10 +22,9 @@ from repro.telemetry import RunReport, build_report, metrics, write_trace
 
 from test_cluster import KW, assert_pools_identical, assert_results_identical
 
-#: mode -> (executor/backend, transport) for the four execution modes
+#: mode -> (executor/backend, transport) for the three execution modes
 MODES = {
     "serial": ("serial", None),
-    "thread": ("thread", None),
     "process-pipe": ("process", "pipe"),
     "process-tcp": ("process", "tcp"),
 }
