@@ -141,7 +141,6 @@ def _get_pool(arch: str, dataset: str, args: argparse.Namespace):
         shm=getattr(args, "shm", True),
         transport=transport,
         nodes=nodes,
-        shards=getattr(args, "shards", 0),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         checkpoint_keep=getattr(args, "checkpoint_keep", 1),
@@ -229,7 +228,7 @@ def cmd_soup(args: argparse.Namespace) -> int:
     with make_evaluator(
         pool, graph, backend=args.soup_executor, num_workers=args.soup_workers,
         transport=soup_transport, nodes=args.soup_nodes,
-        eval_batch=args.soup_eval_batch, shards=args.soup_shards,
+        eval_batch=args.soup_eval_batch,
         cache_path=args.soup_cache_path,
     ) as ev:
         result = soup(args.method, pool, graph, evaluator=ev, **kwargs)
@@ -469,15 +468,6 @@ def _executor_args(p: argparse.ArgumentParser) -> None:
         help="remote `cluster start-worker` addresses (implies --transport tcp)",
     )
     p.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="K",
-        help="cut the graph into K partitions and ship each process worker only "
-        "its assigned shard (+halo) at handshake; the rest attach or stream in "
-        "at its first task (0 = ship the full graph)",
-    )
-    p.add_argument(
         "--checkpoint-dir",
         default=None,
         help="persist each finished ingredient here (atomic per-task .npz)",
@@ -623,14 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'adaptive' (default) sizes chunks from measured per-task time, "
         "an integer >= 1 pins the size (1 = one task per frame); "
         "never changes results",
-    )
-    p.add_argument(
-        "--soup-shards",
-        type=int,
-        default=0,
-        metavar="K",
-        help="sharded graph dispatch for the Phase-2 process evaluator "
-        "(like --shards for Phase 1; 0 = ship the full graph)",
     )
     p.add_argument(
         "--soup-cache-path",

@@ -39,6 +39,10 @@ shared core both are built on:
     whose init fails (e.g. cross-node, where the segment name resolves
     to nothing) reports ``init-error`` and is sent the serialized
     fallback payload instead — pushed once per worker, not per task.
+    Either way the worker holds the whole graph once its handshake ends.
+
+Both transports stream a large task result back in bounded chunks and
+reassemble it before the service layer sees the completion.
 
 The determinism contracts of both phases survive any transport because
 results are keyed by task id and merged in task order, never in
@@ -64,7 +68,7 @@ from typing import Callable, Sequence
 import multiprocessing as mp
 
 from ..telemetry import BYTE_BUCKETS, metrics
-from .wire import decode_frame, encode_frame
+from .wire import WireFormatError, decode_frame, encode_frame
 
 __all__ = [
     "TRANSPORTS",
@@ -200,30 +204,6 @@ class _ResultAssembler:
         """Discard partial streams from a dead worker."""
         for key in [key for key in self._buffers if key[0] == wid]:
             del self._buffers[key]
-
-
-def _specialize_context(context, worker_id: int, fetch=None):
-    """Per-worker view of a shared worker context.
-
-    Contexts are built once and shared across workers (cacheable, encoded
-    once); the only per-worker state a sharded graph ref needs — the
-    assigned shard slot ``worker_id % k`` and, over tcp, the connection's
-    shard-fetch hook — is grafted onto a *copy* here, worker-side. A
-    context without sharded refs passes through untouched.
-    """
-    if not isinstance(context, dict):
-        return context
-    out = None
-    for key, value in context.items():
-        if isinstance(value, dict) and value.get("kind") == "shards":
-            if out is None:
-                out = dict(context)
-            ref = dict(value)
-            ref["assigned"] = worker_id % int(ref["k"])
-            if fetch is not None:
-                ref["_fetch"] = fetch
-            out[key] = ref
-    return context if out is None else out
 
 
 class ClusterError(RuntimeError):
@@ -376,7 +356,6 @@ def _pipe_worker_main(
             result_writer.send_bytes(data)
 
     role = resolve_role(role_name)
-    context = _specialize_context(context, worker_id)
     with metrics.span("worker.init", role=role_name):
         state = role.init(context)
     while True:
@@ -459,9 +438,7 @@ class PipeTransport:
         # in a blocking put where it can no longer drain results
         return outstanding < self.width + 2
 
-    def send(self, rid: int, payload, shard: int | None = None) -> None:
-        # shard affinity is meaningless on the shared queue (any same-host
-        # worker can attach any shm shard segment) — accepted and ignored
+    def send(self, rid: int, payload) -> None:
         if metrics.enabled:
             t0 = time.perf_counter()
             data = encode_frame(("task", rid, payload))
@@ -565,9 +542,9 @@ def _configure_socket(sock: socket.socket) -> None:
 def _send_raw(sock: socket.socket, data: bytes) -> int:
     """Send one pre-encoded frame body; returns the body length.
 
-    The raw entry point exists so payloads serialized once (the fallback
-    context, cached shard frames) are *reused* across workers instead of
-    re-encoded per connection.
+    The raw entry point exists so a payload serialized once (the fallback
+    context) is *reused* across workers instead of re-encoded per
+    connection.
     """
     if metrics.enabled:
         metrics.inc("transport.frames_sent")
@@ -647,14 +624,6 @@ def _serve_session(conn: socket.socket) -> None:
     and initialises from the serialized fallback context instead. A
     background thread heartbeats so the driver can distinguish a long
     task from a hung or partitioned worker.
-
-    Sharded contexts get a fetch hook grafted in: the worker asks for
-    shards with one ``("shard-request", wid, ids)`` frame and reads the
-    ``("shard", ...)`` replies directly off the connection. That read is
-    race-free by construction — fetches only happen inside ``role.init``
-    or ``role.run``, both of which execute on this (the only receiving)
-    thread, and the driver never interleaves task frames because a
-    fetching worker is either mid-handshake or busy on its claimed task.
     """
     send_lock = threading.Lock()
 
@@ -679,21 +648,9 @@ def _serve_session(conn: socket.socket) -> None:
             "transport": "tcp", "pid": os.getpid(),
         }
     role = resolve_role(role_name)
-
-    def fetch_shards(sids):
-        """One batched shard-request round trip on this connection."""
-        send(("shard-request", worker_id, tuple(int(s) for s in sids)))
-        out = {}
-        while len(out) < len(sids):
-            reply = _recv_frame(conn)
-            if reply is None or reply[0] != "shard":
-                raise ClusterError(f"expected a shard frame, got {reply!r}")
-            out[reply[1]] = (reply[2], reply[3])
-        return out
-
     try:
         with metrics.span("worker.init", role=role_name):
-            state = role.init(_specialize_context(context, worker_id, fetch=fetch_shards))
+            state = role.init(context)
     except Exception:
         metrics.inc("transport.init_fallbacks")
         send(("init-error", worker_id, traceback.format_exc()))
@@ -702,7 +659,7 @@ def _serve_session(conn: socket.socket) -> None:
             return
         with metrics.span("worker.init.fallback", role=role_name):
             # second failure tears the session down
-            state = role.init(_specialize_context(follow[1], worker_id, fetch=fetch_shards))
+            state = role.init(follow[1])
     send(("ready", worker_id))
     stop = threading.Event()
     threading.Thread(target=_ping_loop, args=(send, worker_id, stop, tel), daemon=True).start()
@@ -819,7 +776,6 @@ class _TcpWorker:
     busy_rid: int | None = None
     eof: bool = False
     last_recv: float = field(default_factory=time.monotonic)
-    shards: set = field(default_factory=set)  # shard ids this worker holds
 
 
 class TcpTransport:
@@ -836,13 +792,10 @@ class TcpTransport:
     worker is free, which realises the same earliest-free-worker pull
     discipline as the pipe transport's shared queue.
 
-    With a ``shard_source`` (a :class:`~repro.distributed.shards.ShardDispatch`)
-    the transport additionally answers workers' ``shard-request`` frames
-    from the dispatch's encode-once frame cache, tracks which worker
-    holds which shards, and — when ``send`` is given a ``shard`` hint —
-    prefers an idle worker already holding that shard (hit) over an
-    on-demand fetch on another (miss); ``shard_hits``/``shard_misses``
-    and per-worker ``payload_bytes`` expose the placement economics.
+    Every worker receives the whole context in its handshake: the
+    primary context first, then — if its init fails there — the fallback
+    payload, encoded once and reused for every such worker. Per-worker
+    ``payload_bytes`` records what each handshake shipped.
     """
 
     name = "tcp"
@@ -856,12 +809,10 @@ class TcpTransport:
         spawn_local: int = 0,
         heartbeat_timeout: float = 30.0,
         handshake_timeout: float = 60.0,
-        shard_source=None,
     ) -> None:
         self.role = role
         self._context = context
         self._fallback = fallback_context
-        self._shard_source = shard_source
         self._nodes = parse_nodes(nodes) or []
         self._spawn_local = int(spawn_local)
         if not self._nodes and self._spawn_local < 1:
@@ -876,11 +827,9 @@ class TcpTransport:
         self._context_value = None
         self._fallback_value = None
         self._fallback_frame_bytes = None
-        #: per-worker context/shard bytes shipped at and after handshake
-        #: (never pruned: the record outlives the worker, like labels)
+        #: per-worker context bytes shipped at handshake (never pruned:
+        #: the record outlives the worker, like labels)
         self.payload_bytes: dict[int, int] = {}
-        self.shard_hits = 0
-        self.shard_misses = 0
         self._started = False
 
     # -- contexts ------------------------------------------------------------
@@ -957,25 +906,10 @@ class TcpTransport:
         return self._labels.get(wid, f"tcp:w{wid}")
 
     def _count_payload(self, wid: int, n: int) -> None:
-        """Account context/shard bytes shipped to one worker."""
+        """Account context bytes shipped to one worker."""
         self.payload_bytes[wid] = self.payload_bytes.get(wid, 0) + n
         if metrics.enabled:
             metrics.inc(f"transport.payload_bytes.{self._labels.get(wid, f'tcp:w{wid}')}", n)
-
-    def _push_shards(self, sock: socket.socket, wid: int, sids) -> set:
-        """Answer one shard-request from the dispatch's encode-once frame
-        cache; returns the granted shard ids."""
-        if self._shard_source is None:
-            raise ClusterError(f"worker {wid} requested shards but no shard source is set")
-        granted: set = set()
-        shipped = 0
-        for sid in sids:
-            shipped += _send_raw(sock, self._shard_source.frame(int(sid)))
-            granted.add(int(sid))
-        metrics.inc("transport.shard_pushes", len(granted))
-        metrics.inc("transport.shard_bytes_sent", shipped)
-        self._count_payload(wid, shipped)
-        return granted
 
     def _attach(self, sock: socket.socket, node, proc) -> None:
         """Handshake one worker connection, then hand it to a reader thread."""
@@ -984,8 +918,6 @@ class TcpTransport:
         label = f"tcp:w{wid}@{node[0]}:{node[1]}" if node else f"tcp:w{wid}@loopback"
         self._labels[wid] = label
         sock.settimeout(self._handshake_timeout)
-        fell_back = False
-        held: set = set()
         try:
             if metrics.enabled:
                 # a 5th handshake element turns on worker-side collection;
@@ -996,12 +928,7 @@ class TcpTransport:
                 init = ("init", self.role, wid, self._primary_context())
             self._count_payload(wid, _send_frame(sock, init))
             reply = _recv_frame(sock)
-            # a sharded worker init may fetch its assigned shard mid-handshake
-            while reply is not None and reply[0] == "shard-request":
-                held |= self._push_shards(sock, wid, reply[2])
-                reply = _recv_frame(sock)
             if reply is not None and reply[0] == "init-error":
-                fell_back = True
                 frame = self._fallback_frame()
                 if frame is None:
                     raise ClusterError(
@@ -1011,9 +938,6 @@ class TcpTransport:
                 metrics.inc("transport.fallback_payload_pushes")
                 self._count_payload(wid, _send_raw(sock, frame))
                 reply = _recv_frame(sock)
-                while reply is not None and reply[0] == "shard-request":
-                    held |= self._push_shards(sock, wid, reply[2])
-                    reply = _recv_frame(sock)
             if reply is None or reply[0] != "ready":
                 raise ClusterError(f"worker {wid} handshake failed: {reply!r}")
         except (OSError, ClusterError):
@@ -1022,12 +946,7 @@ class TcpTransport:
                 proc.terminate()
             raise
         sock.settimeout(None)
-        source = self._shard_source
-        if source is not None and source.has_specs and not fell_back and not held:
-            # the primary context carried shm specs and init succeeded on
-            # it: the worker shares this host and can attach every shard
-            held = set(range(source.k))
-        worker = _TcpWorker(wid=wid, sock=sock, node=node, proc=proc, shards=held)
+        worker = _TcpWorker(wid=wid, sock=sock, node=node, proc=proc)
         self._workers[wid] = worker
         threading.Thread(target=self._reader_main, args=(worker,), daemon=True).start()
 
@@ -1052,38 +971,31 @@ class TcpTransport:
                 if message is None:
                     continue  # streamed-result chunk, still buffering
                 self._inbox.put(message)
-        except Exception:
-            pass
+        except (OSError, ClusterError, WireFormatError):
+            # mid-frame EOF, an out-of-order result chunk or a malformed
+            # frame: the connection is unusable, so the worker counts as
+            # dead. Anything else is a bug and surfaces through
+            # threading.excepthook after the finally below.
+            metrics.inc("transport.reader_errors")
         finally:
             worker.eof = True
             self._inbox.put(_WAKEUP)  # unblock the driver's poll
 
     # -- service interface ---------------------------------------------------
 
-    def _idle_worker(self, shard: int | None = None) -> _TcpWorker | None:
-        fallback = None
+    def _idle_worker(self) -> _TcpWorker | None:
         for worker in self._workers.values():
             if worker.busy_rid is None and not worker.eof:
-                if shard is None or shard in worker.shards:
-                    return worker
-                if fallback is None:
-                    fallback = worker
-        return fallback
+                return worker
+        return None
 
     def can_accept(self, outstanding: int) -> bool:
         return self._idle_worker() is not None
 
-    def send(self, rid: int, payload, shard: int | None = None) -> None:
-        worker = self._idle_worker(shard)
+    def send(self, rid: int, payload) -> None:
+        worker = self._idle_worker()
         if worker is None:
             raise ClusterError("no idle tcp worker to dispatch to")
-        if shard is not None:
-            if shard in worker.shards:
-                self.shard_hits += 1
-                metrics.inc("cluster.shard_placement_hits")
-            else:
-                self.shard_misses += 1
-                metrics.inc("cluster.shard_placement_misses")
         worker.busy_rid = rid
         try:
             _send_frame(worker.sock, ("task", rid, payload))
@@ -1105,18 +1017,6 @@ class TcpTransport:
                 return None
             if message is _WAKEUP:
                 continue  # EOF marker; look again within the same window
-            if message[0] == "shard-request":
-                # a busy worker filling in missing shards mid-task; answer
-                # here — poll runs on the driver thread, the only writer
-                # to worker sockets — and keep the frame away from the
-                # service layer (its rid slot holds a shard-id tuple)
-                worker = self._workers.get(message[1])
-                if worker is not None and not worker.eof:
-                    try:
-                        worker.shards |= self._push_shards(worker.sock, worker.wid, message[2])
-                    except OSError:
-                        worker.eof = True
-                continue
             if message[0] in ("done", "fault", "error"):
                 worker = self._workers.get(message[1])
                 if worker is not None and worker.busy_rid == message[2]:
@@ -1229,7 +1129,6 @@ class ClusterService:
         on_done=None,
         on_fault=None,
         on_lost=None,
-        shard_fn=None,
         label: str = "task",
     ):
         """Run one batch of tasks to completion; results come back by key.
@@ -1245,10 +1144,6 @@ class ClusterService:
         completes (checkpointing), ``on_fault(key)`` on every reported
         fault (fault-budget accounting), ``on_lost(key)`` when a
         *claimed* task died with its worker (kill-fault accounting).
-        ``shard_fn(key)`` optionally names the graph shard a task is
-        associated with — a placement *hint* handed to transports that
-        track per-worker shard residency (tcp); any idle worker still
-        runs the task, at the cost of an on-demand shard fetch.
         """
         if self._closed:
             raise ClusterError("cluster service is closed")
@@ -1302,14 +1197,7 @@ class ClusterService:
                     now = time.monotonic()
                     metrics.observe("cluster.queue_wait_s", now - queued_ts.pop(key, run_start))
                     send_ts[key_rid[key]] = now
-                # only pass the hint when given: fake transports in tests
-                # (and any external ones) may not take the keyword
-                if shard_fn is None:
-                    transport.send(key_rid[key], payload_fn(key, submits[key]))
-                else:
-                    transport.send(
-                        key_rid[key], payload_fn(key, submits[key]), shard=shard_fn(key)
-                    )
+                transport.send(key_rid[key], payload_fn(key, submits[key]))
                 outstanding += 1
 
         def retry_or_exhaust(key):

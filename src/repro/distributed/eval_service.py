@@ -70,7 +70,6 @@ from .cluster import (
 from . import wire
 from .ingredients import _graph_from_payload, _graph_to_payload
 from .scheduler import _validate_num_workers
-from .shards import ShardDispatch, ShardedGraphSource
 from .shm import SharedGraphBuffer, SharedPoolBuffer, attach_graph, attach_pool
 
 __all__ = [
@@ -330,25 +329,16 @@ class _EvalWorkerState:
 
     Keeps the shared-memory attachment handles alive for as long as the
     worker uses their views (the arrays borrow the segment's buffer).
-    When the graph arrived sharded, only the assigned shard exists at
-    init; the full graph assembles lazily on the first evaluation.
     """
 
-    __slots__ = ("_graph", "_source", "flats", "params", "model", "_attachments")
+    __slots__ = ("graph", "flats", "params", "model", "_attachments")
 
-    def __init__(self, graph, flats, params, model, attachments, source=None) -> None:
-        self._graph = graph
-        self._source = source
+    def __init__(self, graph, flats, params, model, attachments) -> None:
+        self.graph = graph
         self.flats = flats
         self.params = params
         self.model = model
         self._attachments = attachments
-
-    @property
-    def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = self._source.graph
-        return self._graph
 
 
 def _eval_role_init(context: dict) -> _EvalWorkerState:
@@ -359,19 +349,12 @@ def _eval_role_init(context: dict) -> _EvalWorkerState:
     # its alloc hooks; worker allocations are not the driver's measurement
     clear_alloc_hooks()
     attachments = []
-    source = None
     graph_ref, pool_ref = context["graph_ref"], context["pool_ref"]
     if graph_ref["kind"] == "shm":
         metrics.inc("transport.shm_attaches")
         attached_graph = attach_graph(graph_ref["spec"])
         attachments.append(attached_graph)
         graph = attached_graph.graph
-    elif graph_ref["kind"] == "shards":
-        # assigned shard only; the remaining shards attach/fetch at the
-        # first evaluation (see _EvalWorkerState.graph)
-        source = ShardedGraphSource(graph_ref)
-        attachments.append(source)
-        graph = None
     else:
         metrics.inc("transport.payload_inits")
         graph = _graph_from_payload(graph_ref["payload"])
@@ -384,7 +367,7 @@ def _eval_role_init(context: dict) -> _EvalWorkerState:
         metrics.inc("transport.payload_inits")
         flats, params = pool_ref["flats"], pool_ref["params"]
     model = build_model(**context["model_config"])
-    return _EvalWorkerState(graph, flats, params, model, attachments, source=source)
+    return _EvalWorkerState(graph, flats, params, model, attachments)
 
 
 def _eval_one(state: _EvalWorkerState, task: EvalTask):
@@ -476,16 +459,8 @@ class EvalService:
         transport: str = "pipe",
         nodes=None,
         eval_batch="adaptive",
-        shards: int = 0,
     ) -> None:
         num_workers = _validate_num_workers(num_workers)
-        if shards < 0:
-            raise ValueError("shards cannot be negative")
-        if shards > 0 and transport == "pipe" and not shm:
-            raise ValueError(
-                "sharded dispatch over the pipe transport requires shm=True "
-                "(pipe workers receive shards via shared memory)"
-            )
         if eval_batch != "adaptive":
             if not isinstance(eval_batch, int) or isinstance(eval_batch, bool) or eval_batch < 1:
                 raise ValueError(
@@ -501,20 +476,12 @@ class EvalService:
         self._batcher = _AdaptiveBatcher(self.num_workers)
         self._graph_buffer = None
         self._pool_buffer = None
-        self._shard_dispatch = None
-        self._shards = int(shards)
         graph_ref: dict | None = None
         pool_ref: dict | None = None
-        if shards > 0:
-            # sharded data path: workers get only their assigned shard at
-            # handshake and assemble the rest on their first evaluation
-            self._shard_dispatch = ShardDispatch(graph, shards, shm=shm)
-            graph_ref = self._shard_dispatch.context_ref()
         if shm:
             try:
-                if shards == 0:
-                    self._graph_buffer = SharedGraphBuffer.create(graph)
-                    graph_ref = {"kind": "shm", "spec": self._graph_buffer.spec}
+                self._graph_buffer = SharedGraphBuffer.create(graph)
+                graph_ref = {"kind": "shm", "spec": self._graph_buffer.spec}
                 self._pool_buffer = SharedPoolBuffer.create(flats, params)
                 pool_ref = {"kind": "shm", "spec": self._pool_buffer.spec}
             except Exception as exc:  # pragma: no cover - platform-dependent
@@ -524,16 +491,8 @@ class EvalService:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                # release only the full-graph/pool buffers; shard bundles
-                # (if any) were created fine and stay referenced
-                if self._graph_buffer is not None:
-                    self._graph_buffer.unlink()
-                    self._graph_buffer = None
-                if self._pool_buffer is not None:
-                    self._pool_buffer.unlink()
-                    self._pool_buffer = None
-                if shards == 0:
-                    graph_ref = None
+                self._release_buffers()
+                graph_ref = None
                 pool_ref = None
         if graph_ref is None:
             graph_ref = {"kind": "arrays", "payload": _graph_to_payload(graph)}
@@ -545,19 +504,11 @@ class EvalService:
             "model_config": dict(model_config),
         }
         if transport == "tcp":
-            dispatch = self._shard_dispatch
-
             def fallback_context():
                 # pushed once per worker whose shm attach failed — the
-                # cross-node path, where the segment name means nothing;
-                # sharded runs keep the shard ref but drop the specs so
-                # the worker fetches shards over its own connection
+                # cross-node path, where the segment name means nothing
                 return {
-                    "graph_ref": (
-                        dispatch.context_ref(specs=False)
-                        if dispatch is not None
-                        else {"kind": "arrays", "payload": _graph_to_payload(graph)}
-                    ),
+                    "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)},
                     "pool_ref": {"kind": "arrays", "flats": flats, "params": tuple(params)},
                     "model_config": dict(model_config),
                 }
@@ -568,7 +519,6 @@ class EvalService:
                 fallback_context=fallback_context,
                 nodes=nodes,
                 spawn_local=0 if nodes else self.num_workers,
-                shard_source=self._shard_dispatch,
             )
         else:
             cluster_transport = PipeTransport("eval", context, width=self.num_workers)
@@ -588,8 +538,6 @@ class EvalService:
         if self._pool_buffer is not None:
             self._pool_buffer.unlink()
             self._pool_buffer = None
-        if self._shard_dispatch is not None:
-            self._shard_dispatch.release()
 
     # -- batch dispatch ------------------------------------------------------
 
@@ -624,7 +572,6 @@ class EvalService:
                 lambda key, _attempt: chunks[key] if len(chunks[key]) > 1 else chunks[key][0],
                 max_attempts=None,  # only worker death re-queues; never exhausts
                 label="evaluation task",
-                shard_fn=(lambda key: key % self._shards) if self._shards > 0 else None,
             )
         except WorkerLossError as exc:
             raise EvalServiceError(str(exc)) from exc

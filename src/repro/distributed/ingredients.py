@@ -23,11 +23,14 @@ Executors:
   a hard-killed worker is replaced while its lost task re-enters the
   queue. Tasks cross the process boundary as picklable
   :class:`IngredientTask` specs (arch config + derived seed); each worker
-  rebuilds its model from the shared-init seed and receives the graph
-  once — through a :class:`~repro.distributed.shm.SharedGraphBuffer`
-  segment by default (``shm=True``; a few-hundred-byte descriptor per
-  worker instead of a per-worker array pickle), or as a pickled payload
-  with ``shm=False``. The queue runs on the shared cluster runtime
+  rebuilds its model from the shared-init seed and receives the whole
+  graph once, at its handshake, through one of three refs: a
+  :class:`~repro.distributed.shm.SharedGraphBuffer` segment by default
+  (``shm=True``; a few-hundred-byte descriptor per worker instead of a
+  per-worker array pickle), the path of a store-backed graph's mmap
+  :class:`~repro.graph.store.GraphStore`, or a pickled array payload
+  with ``shm=False``. Every task trains on the whole graph, so every
+  worker holds all of it. The queue runs on the shared cluster runtime
   (:mod:`~repro.distributed.cluster`), so its workers can live on this
   host (``transport="pipe"``) or on other machines (``transport="tcp"`` +
   ``nodes=["host:port", ...]`` pointing at
@@ -76,7 +79,6 @@ from .cluster import (
 )
 from .faults import FaultPlan, SimulatedWorkerFault
 from .scheduler import TaskSchedule, WorkerPoolSimulator, _validate_num_workers
-from .shards import ShardDispatch, ShardedGraphSource
 from .shm import SharedGraphBuffer, attach_graph
 
 __all__ = [
@@ -300,16 +302,14 @@ def _run_task(
 # checkpoint handle is opened without the stale-tmp sweep (the driver swept).
 _WORKER_GRAPH: Graph | None = None
 _WORKER_SHM = None  # keeps the shared segment mapped for _WORKER_GRAPH's views
-_WORKER_SOURCE: ShardedGraphSource | None = None  # sharded arrival: lazy assembly
 _WORKER_STORE: CheckpointStore | None = None
 _WORKER_CKPT_EVERY: int = 0
 
 
 def _role_init(context: dict) -> None:
     """Cluster-role init: populate the per-worker globals from the shipped
-    context (graph via shm, shards, store or payload; optional checkpoint
-    handle)."""
-    global _WORKER_GRAPH, _WORKER_SHM, _WORKER_SOURCE, _WORKER_STORE, _WORKER_CKPT_EVERY
+    context (graph via shm, store or payload; optional checkpoint handle)."""
+    global _WORKER_GRAPH, _WORKER_SHM, _WORKER_STORE, _WORKER_CKPT_EVERY
     # a worker forked while a MemoryMeter was active inherits its alloc
     # hooks; worker allocations are not the driver's measurement
     clear_alloc_hooks()
@@ -318,10 +318,6 @@ def _role_init(context: dict) -> None:
         metrics.inc("transport.shm_attaches")
         _WORKER_SHM = attach_graph(graph_ref["spec"])
         _WORKER_GRAPH = _WORKER_SHM.graph
-    elif graph_ref["kind"] == "shards":
-        # only the assigned shard materialises here (attach or fetch);
-        # the rest arrive at the first task, via _worker_graph()
-        _WORKER_SOURCE = ShardedGraphSource(graph_ref)
     elif graph_ref["kind"] == "graph_store":
         # out-of-core: each worker reopens the mmap store (shared
         # filesystem) instead of receiving a materialised feature matrix
@@ -345,23 +341,10 @@ def _role_init(context: dict) -> None:
     _WORKER_CKPT_EVERY = int(context.get("checkpoint_every", 0))
 
 
-def _worker_graph() -> Graph:
-    """The worker's full graph, assembling the shard set on first use.
-
-    Deliberately called before :func:`_run_task` so ``_WORKER_GRAPH`` is
-    populated either way — its ``is not None`` check is what
-    discriminates pool workers (where a kill fault may ``os._exit``)."""
-    global _WORKER_GRAPH
-    if _WORKER_GRAPH is None and _WORKER_SOURCE is not None:
-        _WORKER_GRAPH = _WORKER_SOURCE.graph
-    assert _WORKER_GRAPH is not None, "worker role init did not run"
-    return _WORKER_GRAPH
-
-
 def _role_run(_state, payload) -> TrainResult:
     task, inject, allow_epoch_resume = payload
     return _run_task(
-        task, _worker_graph(), inject, _WORKER_STORE, _WORKER_CKPT_EVERY, allow_epoch_resume
+        task, _WORKER_GRAPH, inject, _WORKER_STORE, _WORKER_CKPT_EVERY, allow_epoch_resume
     )
 
 
@@ -407,7 +390,6 @@ def _serial_dynamic(pending, graph, max_retries, attempts, faults_left, on_done,
 
 def _process_dynamic(
     pending, transport, max_retries, attempts, faults_left, on_done, checkpoint_every, resume,
-    shard_fn=None,
 ):
     """Work-stealing worker pool on the shared cluster runtime.
 
@@ -463,7 +445,6 @@ def _process_dynamic(
             on_fault=service_on_fault,
             on_lost=service_on_lost,
             label="task",
-            shard_fn=shard_fn,
         )
     except WorkerLossError as exc:
         raise IngredientTrainingError(str(exc)) from exc
@@ -478,7 +459,7 @@ def _process_dynamic(
 
 def _process_execute(
     tasks, graph, num_workers, max_retries, store, attempts, faults_left,
-    on_done, shm, checkpoint_every, resume, transport, nodes, shards,
+    on_done, shm, checkpoint_every, resume, transport, nodes,
 ):
     """Ship the graph once per pool, then drain the tasks through
     :func:`_process_dynamic` on a pipe or tcp cluster transport.
@@ -502,14 +483,8 @@ def _process_execute(
         else None
     )
     shm_buffer = None
-    shard_dispatch: ShardDispatch | None = None
     graph_ref: dict | None = None
-    if shards > 0:
-        # sharded data path: cut once, ship each worker only its
-        # assigned shard at handshake; the rest attach/fetch lazily
-        shard_dispatch = ShardDispatch(graph, shards, shm=shm)
-        graph_ref = shard_dispatch.context_ref()
-    elif graph.is_store_backed:
+    if graph.is_store_backed:
         # out-of-core: ship only the store path; workers mmap the
         # arrays themselves, so no feature bytes cross the transport
         graph_ref = {
@@ -532,9 +507,7 @@ def _process_execute(
         graph_ref = {"kind": "arrays", "payload": _graph_to_payload(graph)}
 
     try:
-        shm_backed = graph_ref["kind"] == "shm" or (
-            graph_ref["kind"] == "shards" and "specs" in graph_ref
-        )
+        shm_backed = graph_ref["kind"] == "shm"
         context = {
             "graph_ref": graph_ref,
             # over tcp, checkpoint handles only make sense for workers
@@ -544,19 +517,7 @@ def _process_execute(
             "checkpoint_every": checkpoint_every if (transport == "pipe" or shm_backed) else 0,
         }
         if transport == "tcp":
-            if shard_dispatch is not None:
-                # a remote worker that cannot attach the shard segments
-                # falls back to a fetch-only ref: same shards, shipped
-                # over its own connection
-                def fallback_context():
-                    return {
-                        "graph_ref": shard_dispatch.context_ref(specs=False),
-                        "store_args": None,
-                        "checkpoint_every": 0,
-                    }
-
-                fallback = fallback_context if shard_dispatch.has_specs else None
-            elif graph_ref["kind"] == "graph_store":
+            if graph_ref["kind"] == "graph_store":
                 # no payload fallback: materialising the feature matrix
                 # would defeat the memory budget, so remote workers must
                 # share the store's filesystem
@@ -577,7 +538,6 @@ def _process_execute(
                 fallback_context=fallback,
                 nodes=nodes,
                 spawn_local=0 if nodes else min(num_workers, len(tasks)),
-                shard_source=shard_dispatch,
             )
         else:
             cluster_transport = PipeTransport(
@@ -586,13 +546,10 @@ def _process_execute(
         return _process_dynamic(
             tasks, cluster_transport, max_retries, attempts, faults_left,
             on_done, checkpoint_every, resume,
-            shard_fn=(lambda index: index % shards) if shards > 0 else None,
         )
     finally:
         if shm_buffer is not None:
             shm_buffer.unlink()
-        if shard_dispatch is not None:
-            shard_dispatch.release()
 
 
 def _execute_tasks(
@@ -607,7 +564,6 @@ def _execute_tasks(
     resume: bool,
     transport: str = "pipe",
     nodes: list[tuple[str, int]] | None = None,
-    shards: int = 0,
 ) -> dict[int, TrainResult]:
     """Run all tasks to completion with retries; returns results by index.
 
@@ -640,7 +596,7 @@ def _execute_tasks(
     else:
         results, exhausted = _process_execute(
             tasks, graph, num_workers, max_retries, store, attempts, faults_left,
-            on_done, shm, checkpoint_every, resume, transport, nodes, shards,
+            on_done, shm, checkpoint_every, resume, transport, nodes,
         )
     if exhausted:
         raise IngredientTrainingError(
@@ -666,7 +622,6 @@ def train_ingredients(
     shm: bool = True,
     transport: str = "pipe",
     nodes=None,
-    shards: int = 0,
     hidden_dim: int = 64,
     num_layers: int = 2,
     dropout: float = 0.5,
@@ -711,17 +666,6 @@ def train_ingredients(
         ``python -m repro cluster start-worker`` instance. When given,
         the cluster width is ``len(nodes)`` (``num_workers`` still sets
         the makespan-simulation W).
-    shards:
-        ``k > 0`` switches the graph data path to sharded dispatch: the
-        graph is cut into ``k`` partitions (owned nodes + one-hop halo)
-        and each worker's handshake ships only its assigned shard
-        (``worker_id % k`` — roughly ``1/k`` of the graph plus halo);
-        the remaining shards are attached from shared memory (same host)
-        or fetched over the worker's own connection at its first task,
-        then reassembled into the bit-exact original graph. ``0``
-        (default) ships the full graph as before. Requires
-        ``executor="process"``; over ``"pipe"`` the shards travel via
-        shared memory, so ``shm=True`` is required there.
     epoch_jitter:
         Optional ± range on each ingredient's epoch budget (drawn from its
         task seed). The paper notes "variability in ingredient complexity
@@ -768,21 +712,6 @@ def train_ingredients(
         raise ValueError("worker nodes require transport='tcp'")
     if transport == "tcp" and executor != "process":
         raise ValueError("transport='tcp' requires executor='process'")
-    if shards < 0:
-        raise ValueError("shards cannot be negative")
-    if shards > 0:
-        if executor != "process":
-            raise ValueError("sharded dispatch (shards > 0) requires executor='process'")
-        if transport == "pipe" and not shm:
-            raise ValueError(
-                "sharded dispatch over the pipe transport requires shm=True "
-                "(pipe workers receive shards via shared memory)"
-            )
-        if graph.is_store_backed:
-            raise ValueError(
-                "sharded dispatch (shards > 0) is incompatible with a "
-                "store-backed graph — workers reopen the mmap store directly"
-            )
     # validate up-front with the scheduler's strict rule — a bad worker
     # count must fail here, not after hours of training at the final
     # makespan simulation
@@ -855,7 +784,7 @@ def train_ingredients(
     todo = [task for task in tasks if task.index not in preloaded]
     trained = _execute_tasks(
         todo, graph, executor, num_workers, max_retries, store,
-        shm, checkpoint_every, resume, transport, nodes, shards,
+        shm, checkpoint_every, resume, transport, nodes,
     )
     results = [preloaded[i] if i in preloaded else trained[i] for i in range(n_ingredients)]
 

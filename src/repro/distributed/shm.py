@@ -26,6 +26,10 @@ Lifecycle contract:
 A :class:`SharedGraphSpec` is the picklable descriptor crossing the
 process boundary (segment name + field offsets/dtypes/shapes); it is a
 few hundred bytes regardless of graph size, which is the entire point.
+Every worker attaches the whole graph: Phase-1 tasks and Phase-2
+evaluations all read all of it, so there is nothing to gain from
+shipping a part. :class:`SharedPoolBuffer` does the same for the
+Phase-2 evaluator's ``[N, D]`` stack of flat ingredient states.
 """
 
 from __future__ import annotations
@@ -43,11 +47,8 @@ __all__ = [
     "SharedGraphSpec",
     "SharedPoolBuffer",
     "SharedPoolSpec",
-    "SharedArrayBundle",
-    "SharedBundleSpec",
     "attach_graph",
     "attach_pool",
-    "attach_bundle",
 ]
 
 # offsets are aligned so every ndarray view starts on a cache line
@@ -292,110 +293,6 @@ def attach_pool(spec: SharedPoolSpec) -> _AttachedPool:
     shm = _attach_untracked(spec.shm_name)
     flats = np.ndarray(spec.shape, dtype=np.float64, buffer=shm.buf)
     return _AttachedPool(shm, flats, spec)
-
-
-@dataclass(frozen=True)
-class SharedBundleSpec:
-    """Picklable descriptor of a named-array bundle in one shared segment.
-
-    The generic sibling of :class:`SharedGraphSpec`: any ``{name: ndarray}``
-    map packed back-to-back (cache-line aligned) into a single segment.
-    The sharded graph path uses one bundle per :class:`GraphShard` so
-    same-host workers attach exactly the shards they need. ``meta``
-    carries small picklable scalars alongside the arrays (shard id,
-    global node count, ...), never array data.
-    """
-
-    shm_name: str
-    fields: tuple[tuple[str, str, tuple[int, ...], int], ...]  # (key, dtype, shape, offset)
-    meta: tuple[tuple[str, object], ...] = ()
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes described by the spec (excluding alignment pad)."""
-        return sum(
-            int(np.dtype(dtype).itemsize) * int(np.prod(shape, dtype=np.int64))
-            for _, dtype, shape, _ in self.fields
-        )
-
-
-class SharedArrayBundle:
-    """Creator-side owner of one named-array bundle's shared segment.
-
-    Same lifecycle contract as :class:`SharedGraphBuffer`: the creator
-    owns and eventually unlinks the segment; workers attach untracked
-    views via :func:`attach_bundle` and only close their mapping.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, spec: SharedBundleSpec) -> None:
-        self._shm = shm
-        self.spec = spec
-        self._released = False
-
-    @classmethod
-    def create(cls, arrays: dict[str, np.ndarray], meta: dict | None = None) -> "SharedArrayBundle":
-        """Pack ``arrays`` (in dict order) into a fresh shared segment."""
-        packed: dict[str, np.ndarray] = {}
-        fields: list[tuple[str, str, tuple[int, ...], int]] = []
-        offset = 0
-        for key, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            packed[key] = arr
-            offset = -(-offset // _ALIGN) * _ALIGN  # round up
-            fields.append((str(key), arr.dtype.str, tuple(arr.shape), offset))
-            offset += arr.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        for key, dtype_str, shape, field_offset in fields:
-            view = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=field_offset)
-            view[...] = packed[key]
-        spec = SharedBundleSpec(
-            shm_name=shm.name,
-            fields=tuple(fields),
-            meta=tuple(sorted((meta or {}).items())),
-        )
-        return cls(shm, spec)
-
-    def unlink(self) -> None:
-        """Close and remove the segment (idempotent)."""
-        if self._released:
-            return
-        self._released = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # already unlinked by a concurrent cleanup
-            pass
-
-    def __enter__(self) -> "SharedArrayBundle":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.unlink()
-
-
-class _AttachedBundle:
-    """Worker-side handle: named zero-copy views plus the segment reference."""
-
-    def __init__(self, shm: shared_memory.SharedMemory, arrays: dict[str, np.ndarray], meta: dict) -> None:
-        self._shm = shm
-        self.arrays = arrays
-        self.meta = meta
-        self._closed = False
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.arrays = None
-            self._shm.close()
-
-
-def attach_bundle(spec: SharedBundleSpec) -> _AttachedBundle:
-    """Attach to the segment named by ``spec``; ``.arrays`` are zero-copy views."""
-    shm = _attach_untracked(spec.shm_name)
-    arrays: dict[str, np.ndarray] = {}
-    for key, dtype_str, shape, offset in spec.fields:
-        arrays[key] = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=offset)
-    return _AttachedBundle(shm, arrays, dict(spec.meta))
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:

@@ -28,10 +28,6 @@ Format bytes:
 ``R``   ``("done", wid, rid, {nid: row, ...})`` — prediction rows: int64
         keys + one contiguous float64 ``[n, width]`` block
 ``A``   ``("task", rid, ndarray)``              — e.g. serve node-id batches
-``B``   ``("shard", sid, {name: ndarray}, meta)`` — one graph shard: named
-        raw ndarray blocks plus a small JSON metadata map (sharded
-        dispatch encodes each shard **once** and reuses the bytes for
-        every worker that requests it)
 ``E``   ``("result-chunk", wid, rid, seq, total, bytes)`` — one bounded
         chunk of a streamed large result (pickled once worker-side, cut
         into chunks; the driver transport reassembles)
@@ -52,7 +48,6 @@ so mixed-format sessions interoperate.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import struct
@@ -261,7 +256,7 @@ def register_task_payload(fmt: bytes, match, encode_body, decode_body) -> None:
     if len(fmt) != 1:
         raise ValueError("format id must be a single byte")
     code = fmt[0]
-    if code in (_PICKLE, ord("C"), ord("G"), ord("D"), ord("S"), ord("R"), ord("A"), ord("B"), ord("E")):
+    if code in (_PICKLE, ord("C"), ord("G"), ord("D"), ord("S"), ord("R"), ord("A"), ord("E")):
         raise ValueError(f"format byte {fmt!r} is reserved")
     _TASK_CODECS[code] = (fmt, match, encode_body, decode_body)
 
@@ -311,24 +306,6 @@ def _encode_binary(message) -> bytes | bytearray | None:
         if type(wid) is int:
             return b"G" + _PING.pack(wid)
         return None
-    if kind == "shard" and len(message) == 4:
-        _, sid, arrays, meta = message
-        if type(sid) is not int or sid < 0 or type(arrays) is not dict or type(meta) is not dict:
-            return None
-        out = bytearray(b"B")
-        out += _U32.pack(sid)
-        try:
-            pack_str(out, json.dumps(meta, sort_keys=True))
-        except (TypeError, ValueError):
-            return None
-        out += _U32.pack(len(arrays))
-        for name, arr in arrays.items():
-            if type(name) is not str or type(arr) is not np.ndarray:
-                return None
-            pack_str(out, name)
-            if not pack_array(out, arr):
-                return None
-        return out
     if kind == "result-chunk" and len(message) == 6:
         _, wid, rid, seq, total, blob = message
         if (
@@ -466,26 +443,6 @@ def decode_frame(data) -> object:
         pos += 8 * n
         block = np.frombuffer(body[pos:], dtype="<f8").reshape(n, width).copy()
         return ("done", wid, rid, {int(k): block[i] for i, k in enumerate(keys)})
-    if code == ord("B"):
-        if len(body) < 4:
-            raise WireFormatError("truncated shard frame")
-        (sid,) = _U32.unpack_from(body, 0)
-        meta_json, pos = unpack_str(body, 4)
-        try:
-            meta = json.loads(meta_json)
-        except ValueError as exc:
-            raise WireFormatError(f"bad shard metadata: {exc}") from exc
-        if pos + 4 > len(body):
-            raise WireFormatError("truncated shard array count")
-        (n_arrays,) = _U32.unpack_from(body, pos)
-        pos += 4
-        arrays: dict = {}
-        for _ in range(n_arrays):
-            name, pos = unpack_str(body, pos)
-            arrays[name], pos = unpack_array(body, pos)
-        if pos != len(body):
-            raise WireFormatError("trailing bytes in shard frame")
-        return ("shard", sid, arrays, meta)
     if code == ord("E"):
         if len(body) < _CHUNK_HDR.size:
             raise WireFormatError("truncated result-chunk frame")

@@ -113,7 +113,6 @@ def get_or_train_pool(
     shm: bool = True,
     transport: str = "pipe",
     nodes=None,
-    shards: int = 0,
     checkpoint_dir: str | os.PathLike | None = None,
     checkpoint_every: int = 0,
     checkpoint_keep: int = 1,
@@ -123,12 +122,12 @@ def get_or_train_pool(
 ) -> IngredientPool:
     """Load the spec's pool from cache, training and persisting on a miss.
 
-    ``executor``/``shm``/``transport``/``nodes``/``shards``/
-    ``checkpoint_dir``/``checkpoint_every``/``checkpoint_keep``/``resume``
-    pass through to :func:`repro.distributed.train_ingredients` on a
-    miss; none of them enter the cache key because the determinism
-    contract makes the pool identical across executors and transports
-    (including remote tcp workers and sharded dispatch).
+    ``executor``/``shm``/``transport``/``nodes``/``checkpoint_dir``/
+    ``checkpoint_every``/``checkpoint_keep``/``resume`` pass through to
+    :func:`repro.distributed.train_ingredients` on a miss; none of them
+    enter the cache key because the determinism contract makes the pool
+    identical across executors and transports (including remote tcp
+    workers, which receive the whole graph like local ones).
     ``prefetch_depth``/``sample_workers`` override the spec's sampling-
     pipeline knobs — also determinism-neutral, also outside the key.
     """
@@ -160,7 +159,6 @@ def get_or_train_pool(
         shm=shm,
         transport=transport,
         nodes=nodes,
-        shards=shards,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         checkpoint_keep=checkpoint_keep,

@@ -141,7 +141,6 @@ def run_cell(
     shm: bool = True,
     transport: str = "pipe",
     nodes=None,
-    shards: int = 0,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
     resume: bool = False,
@@ -152,7 +151,6 @@ def run_cell(
     soup_transport: str = "pipe",
     soup_nodes=None,
     soup_eval_batch="adaptive",
-    soup_shards: int = 0,
     soup_cache_path=None,
 ) -> CellResult:
     """Execute one cell; ``graph``/``pool`` injectable for tests and benches.
@@ -191,7 +189,6 @@ def run_cell(
             shm=shm,
             transport=transport,
             nodes=nodes,
-            shards=shards,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             resume=resume,
@@ -218,7 +215,7 @@ def run_cell(
     with make_evaluator(
         pool, graph, backend=soup_executor, num_workers=soup_workers,
         transport=soup_transport, nodes=soup_nodes, eval_batch=soup_eval_batch,
-        shards=soup_shards, cache_path=soup_cache_path,
+        cache_path=soup_cache_path,
     ) as shared_ev:
         # per-rotation evaluator views (sub-pool weights zero-expand onto
         # the shared backend); built once, reused by every method

@@ -5,7 +5,6 @@ from .graph import Graph
 from .generators import GeneratorConfig, homophilous_graph, random_split_masks
 from .datasets import DATASETS, PAPER_STATS, dataset_names, load_dataset
 from .partition import PartitionResult, partition_graph, val_balanced_weights, edge_cut
-from .shard import GraphShard, shard_graph, assemble_graph, shard_to_arrays, shard_from_arrays
 from .sampling import (
     select_partitions,
     partition_union_subgraph,
@@ -31,11 +30,6 @@ __all__ = [
     "partition_graph",
     "val_balanced_weights",
     "edge_cut",
-    "GraphShard",
-    "shard_graph",
-    "assemble_graph",
-    "shard_to_arrays",
-    "shard_from_arrays",
     "select_partitions",
     "partition_union_subgraph",
     "num_possible_subgraphs",

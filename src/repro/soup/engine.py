@@ -454,7 +454,6 @@ class ProcessEvaluator(Evaluator):
         cache_size: int = DEFAULT_SCORE_CACHE,
         eval_batch="adaptive",
         cache_path=None,
-        shards: int = 0,
     ) -> None:
         super().__init__(pool, graph, cache_size=cache_size, cache_path=cache_path)
         self.num_workers = _validate_num_workers(num_workers)
@@ -462,7 +461,6 @@ class ProcessEvaluator(Evaluator):
         self.transport = transport
         self.nodes = nodes
         self.eval_batch = eval_batch
-        self.shards = int(shards)
         self._service: EvalService | None = None
 
     @property
@@ -481,7 +479,6 @@ class ProcessEvaluator(Evaluator):
                 transport=self.transport,
                 nodes=self.nodes,
                 eval_batch=self.eval_batch,
-                shards=self.shards,
             )
         return self._service
 
@@ -582,7 +579,6 @@ def make_evaluator(
     cache_size: int = DEFAULT_SCORE_CACHE,
     eval_batch="adaptive",
     cache_path=None,
-    shards: int = 0,
 ) -> Evaluator:
     """Construct an evaluator for ``(pool, graph)`` on the chosen backend.
 
@@ -600,11 +596,6 @@ def make_evaluator(
     share one wire frame: ``"adaptive"`` (default) sizes chunks from
     measured per-task time, an int >= 1 pins the chunk size. Batching
     never changes results or their order — only framing.
-    ``shards`` (process backend) switches the graph data path to sharded
-    dispatch: each eval worker's handshake ships only its assigned
-    partition (+ halo) of the graph; the rest attach or stream in at its
-    first evaluation (see
-    :class:`~repro.distributed.shards.ShardDispatch`).
     """
     if backend not in SOUP_EXECUTORS:
         raise ValueError(f"unknown soup executor {backend!r}; choose from {SOUP_EXECUTORS}")
@@ -615,13 +606,11 @@ def make_evaluator(
         raise ValueError(
             f"transport/nodes require backend='process', got backend={backend!r}"
         )
-    if shards and backend != "process":
-        raise ValueError(f"shards require backend='process', got backend={backend!r}")
     if backend == "process":
         return ProcessEvaluator(
             pool, graph, num_workers=num_workers, shm=shm,
             transport=transport, nodes=nodes, cache_size=cache_size,
-            eval_batch=eval_batch, cache_path=cache_path, shards=shards,
+            eval_batch=eval_batch, cache_path=cache_path,
         )
     return SerialEvaluator(pool, graph, cache_size=cache_size, cache_path=cache_path)
 

@@ -46,11 +46,14 @@ class TestParser:
         assert args.executor == "process"
 
     def test_bad_executor_rejected(self):
-        for flags in (["--executor", "mpi"], ["--executor", "thread"], ["--queue", "rounds"]):
+        for flags in (
+            ["--executor", "mpi"], ["--executor", "thread"], ["--queue", "rounds"], ["--shards", "2"],
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["train", "gcn", "flickr", *flags])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["soup", "us", "gcn", "flickr", "--soup-executor", "thread"])
+        for flags in (["--soup-executor", "thread"], ["--soup-shards", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["soup", "us", "gcn", "flickr", *flags])
 
 
 class TestInformationalCommands:

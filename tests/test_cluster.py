@@ -11,6 +11,10 @@ over sockets.
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
+import queue
+import socket
+import struct
 import time
 from pathlib import Path
 
@@ -24,8 +28,18 @@ from repro.distributed import (
     parse_nodes,
     train_ingredients,
 )
-from repro.distributed.cluster import run_worker
+from repro.distributed.cluster import (
+    ClusterError,
+    _ResultAssembler,
+    _STREAMED,
+    _TcpWorker,
+    _WAKEUP,
+    _send_result,
+    run_worker,
+)
+from repro.distributed.wire import decode_frame
 from repro.soup import gis_soup, greedy_soup, make_evaluator
+from repro.telemetry import metrics
 from repro.train import TrainConfig
 
 KW = dict(train_cfg=TrainConfig(epochs=4, lr=0.05), base_seed=3, hidden_dim=8)
@@ -38,6 +52,13 @@ def assert_pools_identical(a, b):
             np.testing.assert_array_equal(s1[name], s2[name])
     assert a.val_accs == b.val_accs
     assert a.test_accs == b.test_accs
+
+
+def _states_equal(a: list[dict], b: list[dict]) -> bool:
+    return all(
+        set(sa) == set(sb) and all(np.array_equal(sa[k], sb[k]) for k in sa)
+        for sa, sb in zip(a, b)
+    )
 
 
 def assert_results_identical(a, b):
@@ -267,3 +288,147 @@ class TestValidationAndStructure:
         assert eval_service.ClusterService is cluster.ClusterService
         assert cluster.resolve_role("ingredients") is ingredients.INGREDIENT_ROLE
         assert cluster.resolve_role("eval") is eval_service.EVAL_ROLE
+
+
+# ---------------------------------------------------------------------------
+# streamed results
+# ---------------------------------------------------------------------------
+
+
+class TestResultStreaming:
+    def _roundtrip(self, result, monkeypatch, threshold, chunk=512, snapshot=None):
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", str(threshold))
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", str(chunk))
+        sent = []
+        _send_result(sent.append, 3, 11, result, snapshot=snapshot)
+        assembler = _ResultAssembler()
+        out = [m for m in (assembler.feed(msg) for msg in sent) if m is not None]
+        return sent, out
+
+    def test_small_result_single_done_frame(self, monkeypatch):
+        sent, out = self._roundtrip({"x": np.zeros(4)}, monkeypatch, threshold=1 << 20)
+        assert len(sent) == 1 and sent[0][0] == "done"
+        assert out == sent
+
+    def test_large_result_streams_and_reassembles(self, monkeypatch):
+        result = {"w": np.arange(4096, dtype=np.float64)}
+        sent, out = self._roundtrip(result, monkeypatch, threshold=1024, chunk=777)
+        kinds = [m[0] for m in sent]
+        assert kinds[-1] == "done" and set(kinds[:-1]) == {"result-chunk"}
+        assert len(sent) > 2  # actually chunked
+        assert sent[-1][3] == _STREAMED
+        # every chunk is bounded
+        assert all(len(m[5]) <= 777 for m in sent[:-1])
+        assert len(out) == 1 and out[0][0] == "done"
+        np.testing.assert_array_equal(out[0][3]["w"], result["w"])
+
+    def test_snapshot_rides_the_done_frame(self, monkeypatch):
+        result = {"w": np.arange(4096, dtype=np.float64)}
+        sent, out = self._roundtrip(result, monkeypatch, threshold=1024, snapshot={"s": 1})
+        assert out[0][4] == {"s": 1}
+
+    def test_zero_threshold_disables_streaming(self, monkeypatch):
+        sent, _ = self._roundtrip(
+            {"w": np.arange(4096, dtype=np.float64)}, monkeypatch, threshold=0
+        )
+        assert len(sent) == 1 and sent[0][0] == "done"
+
+    def test_out_of_order_chunk_rejected(self):
+        assembler = _ResultAssembler()
+        assembler.feed(("result-chunk", 1, 2, 0, 3, b"a"))
+        with pytest.raises(ClusterError):
+            assembler.feed(("result-chunk", 1, 2, 2, 3, b"c"))
+
+    def test_done_without_chunks_rejected(self):
+        with pytest.raises(ClusterError):
+            _ResultAssembler().feed(("done", 1, 2, _STREAMED))
+
+    def test_drop_discards_partial_streams(self):
+        assembler = _ResultAssembler()
+        assembler.feed(("result-chunk", 1, 2, 0, 2, pickle.dumps("x")[:1]))
+        assembler.drop(1)
+        with pytest.raises(ClusterError):
+            assembler.feed(("done", 1, 2, _STREAMED))
+
+    def test_streamed_phase1_results_bit_identical(self, tiny_graph, monkeypatch):
+        """Force every state dict over the chunked path end to end."""
+        cfg = TrainConfig(epochs=2, lr=0.05)
+        reference = train_ingredients("gcn", tiny_graph, 2, cfg, base_seed=5)
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "1024")
+        streamed = train_ingredients(
+            "gcn", tiny_graph, 2, cfg, base_seed=5,
+            executor="process", queue="dynamic", num_workers=2,
+        )
+        assert _states_equal(reference.states, streamed.states)
+
+
+# ---------------------------------------------------------------------------
+# encode-once fallback frame + payload accounting (tcp)
+# ---------------------------------------------------------------------------
+
+
+class TestTcpPayloadAccounting:
+    def _bare_transport(self, fallback):
+        transport = TcpTransport.__new__(TcpTransport)
+        transport._fallback = fallback
+        transport._fallback_value = None
+        transport._fallback_frame_bytes = None
+        transport._labels = {}
+        transport.payload_bytes = {}
+        return transport
+
+    def test_fallback_frame_serialized_once(self):
+        calls = []
+
+        def fallback():
+            calls.append(1)
+            return {"graph_ref": {"kind": "arrays", "payload": {"n": 1}}}
+
+        transport = self._bare_transport(fallback)
+        frame = transport._fallback_frame()
+        assert transport._fallback_frame() is frame  # cached bytes, no re-pickle
+        assert len(calls) == 1
+        kind, ctx = decode_frame(frame)
+        assert kind == "context" and ctx["graph_ref"]["payload"] == {"n": 1}
+
+    def test_no_fallback_returns_none(self):
+        transport = self._bare_transport(None)
+        assert transport._fallback_frame() is None
+
+    def test_count_payload_accumulates_per_worker(self):
+        transport = self._bare_transport(None)
+        transport._count_payload(0, 100)
+        transport._count_payload(0, 50)
+        transport._count_payload(2, 7)
+        assert transport.payload_bytes == {0: 150, 2: 7}
+
+
+# ---------------------------------------------------------------------------
+# tcp reader: transport failures end the connection, bugs surface
+# ---------------------------------------------------------------------------
+
+
+class TestTcpReaderErrors:
+    def test_malformed_frame_marks_worker_eof(self):
+        """A length-prefixed garbage body is a transport failure: the
+        reader counts it, marks the worker dead and wakes the driver."""
+        ours, theirs = socket.socketpair()
+        body = b"\xee not a frame"
+        theirs.sendall(struct.pack(">Q", len(body)) + body)
+        transport = TcpTransport.__new__(TcpTransport)
+        transport._inbox = queue.Queue()
+        transport._labels = {}
+        worker = _TcpWorker(wid=0, sock=ours)
+        metrics.reset()
+        metrics.set_enabled(True)
+        try:
+            transport._reader_main(worker)
+            errors = metrics.counter_value("transport.reader_errors")
+        finally:
+            metrics.set_enabled(False)
+            metrics.reset()
+            ours.close()
+            theirs.close()
+        assert worker.eof
+        assert transport._inbox.get_nowait() is _WAKEUP
+        assert errors == 1

@@ -175,9 +175,17 @@ class TestStrictDecode:
         with pytest.raises(WireFormatError, match="empty"):
             decode_frame(b"")
 
-    def test_unknown_format_byte_rejected(self):
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pytest.param(b"\xee\x00\x01", id="unknown"),
+            # "B" was the retired sharded-dispatch frame kind
+            pytest.param(b"B\x00\x00\x00\x00", id="retired-shard"),
+        ],
+    )
+    def test_unknown_format_byte_rejected(self, frame):
         with pytest.raises(WireFormatError, match="unknown"):
-            decode_frame(b"\xee\x00\x01")
+            decode_frame(frame)
 
     @pytest.mark.parametrize(
         "message",
