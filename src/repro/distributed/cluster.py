@@ -3,43 +3,47 @@
 Both phases of the paper's pipeline fan work out to a pool of persistent
 workers pulling from a shared queue — Phase 1 trains ingredients with
 zero inter-worker communication (§III-A), Phase 2 scores soup candidates
-on immutable state (§III-E). Before this module each owned a private copy
-of the same worker protocol (``ingredients.py``'s dynamic queue and
-``eval_service.py``'s claim/done service); this module is the single
-shared core both are built on:
+on immutable state (§III-E) — and the serving layer answers prediction
+batches on the same pool. This module is the one core all three run on:
 
-* :class:`ClusterService` — the driver-side task service: work-stealing
-  backlog, claim/done bookkeeping, lost-task recovery when a worker dies
-  (claimed tasks re-enter the queue; unclaimed losses trigger a
-  conservative requeue of everything unaccounted for), respawn-on-death
-  bounded by a progress budget, and stale-message tolerance via
-  service-unique request ids (messages from an aborted earlier batch can
-  never be mis-recorded as this batch's results).
+* :class:`ClusterService` — the driver-side task service. ``submit``
+  enqueues one keyed task and ``poll`` returns the tasks that completed;
+  ``run`` drives a finite batch to completion over the same two calls.
+  One claim table serves both: work-stealing backlog, lost-task
+  recovery when a worker dies (claimed tasks re-enter the queue;
+  unclaimed losses trigger a conservative requeue of everything
+  unaccounted for), respawn-on-death bounded by progress, and
+  stale-message tolerance via service-unique request ids (frames from an
+  aborted batch or a duplicate execution are never recorded as a live
+  task's result).
 * :class:`WorkerRole` — what a worker *does*: an ``init(context)`` run
-  once per worker (attach shared memory, rebuild the graph, open stores)
-  and a ``run(state, payload)`` per task. Roles are resolved **by name**
-  through :func:`resolve_role` so a worker started on another machine can
-  look up the same code path from its own installation.
+  once per worker (attach the graph, open stores) and a ``run(state,
+  payload)`` per task. Roles are resolved **by name** through
+  :func:`resolve_role` so a worker started on another machine can look
+  up the same code path from its own installation.
 * **Transports** — how tasks reach workers:
 
   - :class:`PipeTransport` (same host): worker processes spawned here,
     one shared ``SimpleQueue`` of task specs, results over a lock-guarded
     pipe. ``Connection.send`` is synchronous, so a worker's ``claim`` is
     durable even if it hard-dies on the very next instruction (the
-    requeue accounting depends on that). Shared-memory segments
-    (:mod:`~repro.distributed.shm`) attach zero-copy.
+    requeue accounting depends on that).
   - :class:`TcpTransport` (multi-host): the driver connects *out* to
     workers listening on ``host:port`` (started with ``python -m repro
     cluster start-worker``) and/or spawns loopback workers locally.
     Messages are length-prefixed frames (:mod:`~repro.distributed.wire`
     binary fast path, pickle fallback); death is detected by
     connection loss or heartbeat silence. Workers first receive the
-    driver's preferred context (which may reference shared-memory
-    segments — reachable when the worker shares the host); a worker
-    whose init fails (e.g. cross-node, where the segment name resolves
-    to nothing) reports ``init-error`` and is sent the serialized
-    fallback payload instead — pushed once per worker, not per task.
-    Either way the worker holds the whole graph once its handshake ends.
+    driver's preferred context; a worker whose init fails on it (e.g.
+    cross-node, where a shared-memory segment name resolves to nothing)
+    reports ``init-error`` and is sent the serialized fallback context
+    instead — pushed once per worker, not per task.
+
+* :func:`open_service` — a service whose workers each hold the whole
+  graph: it picks how the graph travels
+  (:func:`~repro.distributed.shm.share_graph`), builds the transport and
+  its fallback context, and hands the shared-memory segments to the
+  service, which unlinks them on close.
 
 Both transports stream a large task result back in bounded chunks and
 reassemble it before the service layer sees the completion.
@@ -62,12 +66,15 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import multiprocessing as mp
 
 from ..telemetry import BYTE_BUCKETS, metrics
+from ..tensor import clear_alloc_hooks
+from .shm import share_graph
 from .wire import WireFormatError, decode_frame, encode_frame
 
 __all__ = [
@@ -76,9 +83,9 @@ __all__ = [
     "WorkerLossError",
     "WorkerRole",
     "ClusterService",
-    "ClusterStream",
     "PipeTransport",
     "TcpTransport",
+    "open_service",
     "parse_nodes",
     "register_role",
     "resolve_role",
@@ -138,9 +145,9 @@ def _approx_result_nbytes(result) -> int:
 def _send_result(send, wid: int, rid: int, result, snapshot=None) -> None:
     """Send one task completion, streaming large results in chunks.
 
-    Small results keep the historical single ``done`` frame byte-for-byte.
-    Above the streaming threshold the result is pickled **once**, cut
-    into bounded ``("result-chunk", wid, rid, seq, total, bytes)`` frames,
+    Small results travel as one ``done`` frame. Above the streaming
+    threshold the result is pickled **once**, cut into bounded
+    ``("result-chunk", wid, rid, seq, total, bytes)`` frames,
     and the closing ``done`` carries the :data:`_STREAMED` placeholder
     (plus the telemetry snapshot, when enabled) — the driver transport
     reassembles before the service layer ever sees the message, so the
@@ -191,7 +198,13 @@ class _ResultAssembler:
                 )
             parts.append(blob)
             return None
-        if kind == "done" and len(message) >= 4 and message[3] == _STREAMED:
+        if (
+            kind == "done"
+            and len(message) >= 4
+            # an ndarray result would compare elementwise with the placeholder
+            and isinstance(message[3], str)
+            and message[3] == _STREAMED
+        ):
             parts = self._buffers.pop((message[1], message[2]), None)
             if parts is None:
                 raise ClusterError(f"streamed result for rid {message[2]} has no chunks")
@@ -315,35 +328,65 @@ def parse_nodes(spec) -> list[tuple[str, int]] | None:
 # ---------------------------------------------------------------------------
 
 
+def _start_worker(role_name: str, telemetry: bool, source: str, transport: str):
+    """Per-worker set-up shared by both transports; returns ``(role, tel)``.
+
+    The metrics registry starts afresh (under fork it arrives pre-filled
+    with the driver's values), and alloc hooks inherited from a driver
+    that was inside a ``MemoryMeter`` are dropped: worker allocations are
+    not the driver's measurement.
+    """
+    metrics.reset()
+    metrics.set_enabled(bool(telemetry))
+    if metrics.enabled:
+        metrics.meta = {
+            "source": source, "role": role_name, "transport": transport, "pid": os.getpid(),
+        }
+    clear_alloc_hooks()
+    return resolve_role(role_name), metrics.enabled
+
+
+def _task_loop(
+    worker_id: int, role_name: str, role: WorkerRole, state, next_task, send, tel: bool
+) -> None:
+    """Run tasks until ``next_task()`` returns ``None`` instead of ``(rid, payload)``.
+
+    Every attempt is bracketed by a ``claim`` message so the driver knows
+    which task died with the worker; completions, declared faults and
+    unexpected errors each report their own message kind. With telemetry
+    on, each report carries the worker's cumulative metrics snapshot as a
+    trailing element (the driver aggregates it).
+    """
+    while (task := next_task()) is not None:
+        rid, payload = task
+        send(("claim", worker_id, rid))
+        try:
+            with metrics.span(f"task:{role_name}", rid=rid):
+                result = role.run(state, payload)
+        except role.fault_types:
+            send(("fault", worker_id, rid, metrics.snapshot()) if tel else ("fault", worker_id, rid))
+        except BaseException:
+            tb = traceback.format_exc()
+            send(("error", worker_id, rid, tb, metrics.snapshot()) if tel else ("error", worker_id, rid, tb))
+        else:
+            metrics.inc("worker.tasks_done")
+            _send_result(send, worker_id, rid, result, metrics.snapshot() if tel else None)
+
+
 def _pipe_worker_main(
     worker_id, task_queue, result_writer, result_lock, role_name, context, telemetry=False
 ):
     """Body of one persistent pipe-transport worker process.
 
-    Pulls pickled ``(rid, payload)`` specs until the ``None`` sentinel.
-    Every attempt is bracketed by a ``claim`` message so the driver knows
-    which task died with the worker; completions, declared faults and
-    unexpected errors each report their own message kind. With
-    ``telemetry`` on, completions carry the worker's cumulative metrics
-    snapshot as a trailing element (the driver aggregates it; disabled
-    runs keep the historical message shapes byte-for-byte).
-
-    Result messages go through a raw pipe guarded by a shared lock —
-    ``Connection.send_bytes`` is *synchronous*, so once it returns the
-    message is in the pipe even if the worker hard-dies on the very next
-    instruction. (A ``multiprocessing.Queue`` would buffer through a
+    Pulls encoded ``("task", rid, payload)`` specs until the ``None``
+    sentinel. Result messages go through a raw pipe guarded by a shared
+    lock — ``Connection.send_bytes`` is *synchronous*, so once it returns
+    the message is in the pipe even if the worker hard-dies on the very
+    next instruction. (A ``multiprocessing.Queue`` would buffer through a
     feeder thread that ``os._exit`` silently kills, losing the claim that
     the driver's requeue accounting depends on.)
     """
-    # under fork the registry arrives pre-filled with the driver's values
-    metrics.reset()
-    metrics.set_enabled(bool(telemetry))
-    tel = metrics.enabled
-    if tel:
-        metrics.meta = {
-            "source": f"pipe:w{worker_id}", "role": role_name,
-            "transport": "pipe", "pid": os.getpid(),
-        }
+    role, tel = _start_worker(role_name, telemetry, f"pipe:w{worker_id}", "pipe")
 
     def put(message):
         data = encode_frame(message)
@@ -355,13 +398,10 @@ def _pipe_worker_main(
         with result_lock:
             result_writer.send_bytes(data)
 
-    role = resolve_role(role_name)
-    with metrics.span("worker.init", role=role_name):
-        state = role.init(context)
-    while True:
+    def next_task():
         item = task_queue.get()
         if item is None:
-            return
+            return None
         if tel:
             t0 = time.perf_counter()
             _kind, rid, payload = decode_frame(item)
@@ -370,18 +410,11 @@ def _pipe_worker_main(
             metrics.inc("transport.bytes_received", len(item))
         else:
             _kind, rid, payload = decode_frame(item)
-        put(("claim", worker_id, rid))
-        try:
-            with metrics.span(f"task:{role_name}", rid=rid):
-                result = role.run(state, payload)
-        except role.fault_types:
-            put(("fault", worker_id, rid, metrics.snapshot()) if tel else ("fault", worker_id, rid))
-        except BaseException:
-            tb = traceback.format_exc()
-            put(("error", worker_id, rid, tb, metrics.snapshot()) if tel else ("error", worker_id, rid, tb))
-        else:
-            metrics.inc("worker.tasks_done")
-            _send_result(put, worker_id, rid, result, metrics.snapshot() if tel else None)
+        return rid, payload
+
+    with metrics.span("worker.init", role=role_name):
+        state = role.init(context)
+    _task_loop(worker_id, role_name, role, state, next_task, put, tel)
 
 
 class PipeTransport:
@@ -408,7 +441,6 @@ class PipeTransport:
         self._task_queue = self._mp.SimpleQueue()  # synchronous puts, no feeder thread
         self._reader, self._writer = self._mp.Pipe(duplex=False)
         self._lock = self._mp.Lock()
-        self._context_value = self._context() if callable(self._context) else self._context
         self._started = True
         for _ in range(self.width):
             self._spawn()
@@ -418,7 +450,7 @@ class PipeTransport:
             target=_pipe_worker_main,
             args=(
                 self._next_wid, self._task_queue, self._writer, self._lock,
-                self.role, self._context_value, metrics.enabled,
+                self.role, self._context, metrics.enabled,
             ),
             daemon=True,
         )
@@ -611,7 +643,7 @@ def _ping_loop(send, worker_id: int, stop: threading.Event, telemetry: bool = Fa
                 send(("ping", worker_id, metrics.snapshot(include_spans=False)))
             else:
                 send(("ping", worker_id))
-        except Exception:
+        except OSError:  # the connection is gone; the session ends with it
             return
 
 
@@ -631,23 +663,18 @@ def _serve_session(conn: socket.socket) -> None:
         with send_lock:
             _send_frame(conn, message)
 
+    def next_task():
+        message = _recv_frame(conn)
+        if message is None or message[0] == "stop":
+            return None
+        return message[1], message[2]
+
     init = _recv_frame(conn)
     if init is None or init[0] != "init":
         return
-    # length-4 frames are the historical handshake; a 5th element carries
-    # session options (telemetry flag, the driver's name for this worker)
-    role_name, worker_id, context = init[1], init[2], init[3]
-    options = init[4] if len(init) > 4 and isinstance(init[4], dict) else {}
-    metrics.reset()  # sessions are independent runs; fork may pre-fill the registry
-    if options.get("telemetry"):
-        metrics.set_enabled(True)
-    tel = metrics.enabled
-    if tel:
-        metrics.meta = {
-            "source": options.get("ident", f"tcp:w{worker_id}"), "role": role_name,
-            "transport": "tcp", "pid": os.getpid(),
-        }
-    role = resolve_role(role_name)
+    # session options: the telemetry flag and the driver's name for this worker
+    _, role_name, worker_id, context, options = init
+    role, tel = _start_worker(role_name, options["telemetry"], options["ident"], "tcp")
     try:
         with metrics.span("worker.init", role=role_name):
             state = role.init(context)
@@ -664,23 +691,7 @@ def _serve_session(conn: socket.socket) -> None:
     stop = threading.Event()
     threading.Thread(target=_ping_loop, args=(send, worker_id, stop, tel), daemon=True).start()
     try:
-        while True:
-            message = _recv_frame(conn)
-            if message is None or message[0] == "stop":
-                return
-            _, rid, payload = message
-            send(("claim", worker_id, rid))
-            try:
-                with metrics.span(f"task:{role_name}", rid=rid):
-                    result = role.run(state, payload)
-            except role.fault_types:
-                send(("fault", worker_id, rid, metrics.snapshot()) if tel else ("fault", worker_id, rid))
-            except BaseException:
-                tb = traceback.format_exc()
-                send(("error", worker_id, rid, tb, metrics.snapshot()) if tel else ("error", worker_id, rid, tb))
-            else:
-                metrics.inc("worker.tasks_done")
-                _send_result(send, worker_id, rid, result, metrics.snapshot() if tel else None)
+        _task_loop(worker_id, role_name, role, state, next_task, send, tel)
     finally:
         stop.set()
 
@@ -753,8 +764,8 @@ def _local_tcp_worker_main(report_conn) -> None:
     srv.close()
     try:
         _serve_session(conn)
-    except Exception:
-        pass
+    except Exception:  # the session is over either way; say why, as run_worker does
+        traceback.print_exc()
     finally:
         try:
             conn.close()
@@ -824,42 +835,20 @@ class TcpTransport:
         self._workers: dict[int, _TcpWorker] = {}
         self._labels: dict[int, str] = {}  # never pruned: names outlive the worker
         self._next_wid = 0
-        self._context_value = None
-        self._fallback_value = None
         self._fallback_frame_bytes = None
         #: per-worker context bytes shipped at handshake (never pruned:
         #: the record outlives the worker, like labels)
         self.payload_bytes: dict[int, int] = {}
         self._started = False
 
-    # -- contexts ------------------------------------------------------------
-
-    def _primary_context(self):
-        if self._context_value is None:
-            self._context_value = self._context() if callable(self._context) else self._context
-        return self._context_value
-
-    def _fallback_context(self):
-        if self._fallback is None:
-            return None
-        if self._fallback_value is None:
-            self._fallback_value = (
-                self._fallback() if callable(self._fallback) else self._fallback
-            )
-        return self._fallback_value
-
     def _fallback_frame(self) -> bytes | None:
         """The fallback-context push frame, serialized exactly once.
 
-        Historically every connecting worker re-pickled the (large —
-        it carries the whole graph) fallback payload; the encoded bytes
-        are identical per worker, so they are cached and reused.
+        The fallback carries the whole graph and its encoded bytes are
+        identical for every worker, so they are cached and reused.
         """
-        if self._fallback_frame_bytes is None:
-            fallback = self._fallback_context()
-            if fallback is None:
-                return None
-            self._fallback_frame_bytes = encode_frame(("context", fallback))
+        if self._fallback_frame_bytes is None and self._fallback is not None:
+            self._fallback_frame_bytes = encode_frame(("context", self._fallback))
         return self._fallback_frame_bytes
 
     # -- lifecycle -----------------------------------------------------------
@@ -919,13 +908,8 @@ class TcpTransport:
         self._labels[wid] = label
         sock.settimeout(self._handshake_timeout)
         try:
-            if metrics.enabled:
-                # a 5th handshake element turns on worker-side collection;
-                # disabled runs keep the historical 4-tuple byte-for-byte
-                init = ("init", self.role, wid, self._primary_context(),
-                        {"telemetry": True, "ident": label})
-            else:
-                init = ("init", self.role, wid, self._primary_context())
+            options = {"telemetry": metrics.enabled, "ident": label}
+            init = ("init", self.role, wid, self._context, options)
             self._count_payload(wid, _send_frame(sock, init))
             reply = _recv_frame(sock)
             if reply is not None and reply[0] == "init-error":
@@ -1081,31 +1065,70 @@ class TcpTransport:
 # ---------------------------------------------------------------------------
 
 
+#: ``poll`` result of a task whose ``max_attempts`` submissions all failed.
+_EXHAUSTED = object()
+
+
+@dataclass(eq=False)
+class _Task:
+    """One live task: its request id, payload builder and retry policy."""
+
+    key: object
+    rid: int
+    payload: Callable[[int], object]  # attempt number (from 1) -> wire payload
+    max_attempts: int | None = None
+    on_fault: Callable | None = None
+    on_lost: Callable | None = None
+    attempts: int = 0
+
+
 class ClusterService:
     """Generic claim/done task service over persistent workers.
 
-    One service drives one transport; ``run`` dispatches a batch of keyed
-    tasks and returns ``(results_by_key, exhausted_keys)``. The service
-    owns every piece of protocol bookkeeping the two phases used to
-    duplicate:
+    One service drives one transport. :meth:`submit` enqueues one keyed
+    task and :meth:`poll` returns the tasks that completed since the last
+    call — for callers whose work arrives over time (the serving layer);
+    :meth:`run` drives one finite batch to completion over the same core
+    and returns ``(results_by_key, exhausted_keys)`` (Phase 1 and
+    Phase 2). One claim table backs both:
 
-    * request ids unique across the service lifetime, so messages left
-      over from an aborted earlier batch are recognised as stale and
-      dropped;
+    * request ids unique across the service lifetime, so frames of a task
+      that already completed (a duplicate execution after a conservative
+      requeue) or that belonged to an aborted batch are recognised as
+      stale and dropped;
     * the claim table mapping workers to in-flight tasks, so a worker
       that dies mid-task has its claimed work re-queued — and a worker
       that dies *between* pulling a spec and claiming it triggers a
       conservative requeue of every unaccounted-for task (a duplicate
       execution is keyed by request id, so it wastes work, never
       correctness);
-    * the respawn budget: every legitimate death consumes a task
-      attempt, so a pool that keeps dying without making progress raises
-      :class:`WorkerLossError` instead of spinning.
+    * one respawn rule: dead workers are replaced, and more deaths since
+      the last completed or exhausted task than twice the pool width plus
+      the live tasks' attempt budgets raise :class:`WorkerLossError`
+      instead of spinning.
+
+    Tasks must be idempotent: a lost task is resubmitted, and a task a
+    dead worker had in fact swallowed may execute twice. Single-consumer:
+    call every method from one thread, and do not interleave :meth:`run`
+    with streaming :meth:`submit` calls.
     """
 
     def __init__(self, transport) -> None:
         self._transport = transport
+        self._segments: list = []  # shared-memory buffers to unlink on close
         self._next_rid = 0
+        self._tasks: dict[object, _Task] = {}  # live tasks by key
+        self._rids: dict[int, _Task] = {}  # live tasks by request id
+        self._backlog: deque = deque()  # tasks awaiting dispatch
+        self._in_flight: dict[int, _Task | None] = {}  # worker id -> claimed task (None = stale)
+        self._outstanding = 0  # specs handed to the transport but not yet claimed
+        self._completed: list[tuple[object, object]] = []
+        self._deaths = 0  # worker deaths since the last completed or exhausted task
+        # telemetry only
+        self._queued_ts: dict[int, float] = {}  # rid -> backlog entry time
+        self._send_ts: dict[int, float] = {}  # rid -> dispatch time (claim latency)
+        self._busy_since: dict[int, float] = {}  # wid -> claim time of its current task
+        self._busy_acc: dict[int, float] = {}  # wid -> busy seconds this batch
         self._started = False
         self._closed = False
 
@@ -1113,12 +1136,58 @@ class ClusterService:
     def transport(self):
         return self._transport
 
+    @property
+    def width(self) -> int:
+        """Worker-pool width of the transport."""
+        return self._transport.width
+
     def start(self) -> None:
+        """Start the workers (idempotent); a failed start closes the service."""
         if self._closed:
             raise ClusterError("cluster service is closed")
         if not self._started:
-            self._transport.start()
+            try:
+                self._transport.start()
+            except BaseException:
+                self.close()
+                raise
             self._started = True
+
+    def submit(self, key, payload) -> None:
+        """Enqueue one task; its completion arrives via :meth:`poll`."""
+        self._submit(key, lambda _attempt: payload)
+
+    def poll(self, timeout: float = 0.0) -> list[tuple[object, object]]:
+        """Pump the transport for up to ``timeout`` seconds; return every
+        task that completed since the last call (``(key, result)``,
+        completion order) as soon as at least one has.
+
+        A worker-side *error* (a bug, not a death) completes its task with
+        the :class:`ClusterError` as the result: one failed request must
+        not tear down a server with other requests in flight, so the
+        caller inspects ``isinstance(result, Exception)``.
+        """
+        if self._closed:
+            raise ClusterError("cluster service is closed")
+        self._top_up()
+        deadline = time.monotonic() + max(timeout, 0.0)
+        while not self._completed:
+            remaining = deadline - time.monotonic()
+            message = self._transport.poll(min(remaining, 0.05) if remaining > 0 else 0)
+            if message is None:
+                self._check_dead()
+                if remaining <= 0:
+                    break
+                continue
+            # drain whatever else already arrived before returning
+            while message is not None:
+                self._handle(message)
+                message = self._transport.poll(0)
+            # a completion frees capacity on transports whose dispatch
+            # tracks busy workers (tcp)
+            self._top_up()
+        out, self._completed = self._completed, []
+        return out
 
     def run(
         self,
@@ -1144,216 +1213,216 @@ class ClusterService:
         completes (checkpointing), ``on_fault(key)`` on every reported
         fault (fault-budget accounting), ``on_lost(key)`` when a
         *claimed* task died with its worker (kill-fault accounting).
+
+        A worker-side error raises :class:`ClusterError`. A batch that
+        raises drops its tasks: their late frames count as stale, and the
+        next batch may reuse the same keys.
         """
-        if self._closed:
-            raise ClusterError("cluster service is closed")
-        self.start()
         keys = list(keys)
         if not keys:
             return {}, []
-        if len(set(keys)) != len(keys):
-            raise ValueError("task keys must be unique")
-        transport = self._transport
-        results: dict = {}
-        exhausted: set = set()
-        submits = {key: 0 for key in keys}
-        rid_key: dict[int, object] = {}
-        key_rid: dict[object, int] = {}
-        for key in keys:
-            rid = self._next_rid
-            self._next_rid += 1
-            rid_key[rid] = key
-            key_rid[key] = rid
-        backlog: deque = deque(keys)
-        in_flight: dict[int, object] = {}  # worker id -> claimed key (None = stale claim)
-        outstanding = 0  # attempts handed to the transport but not yet claimed
-        # every legitimate death consumes a task attempt, so a pool that
-        # keeps dying without making progress is a bug, not a fault
-        respawn_budget = transport.width + sum(max_attempts or 1 for _ in keys)
-
         tel = metrics.enabled
         run_start = time.monotonic()
-        queued_ts = dict.fromkeys(keys, run_start) if tel else {}  # key -> backlog entry time
-        send_ts: dict[int, float] = {}  # rid -> dispatch time (claim latency)
-        busy_since: dict[int, float] = {}  # wid -> claim time of current task
-        busy_acc: dict[int, float] = {}  # wid -> accumulated busy seconds
-
-        def describe(wid):
-            fn = getattr(transport, "describe_worker", None)
-            return fn(wid) if fn is not None else f"{transport.name}:w{wid}"
-
-        def settle(wid, now):
-            """Close a worker's busy interval on task completion."""
-            start = busy_since.pop(wid, None)
-            if start is not None:
-                busy_acc[wid] = busy_acc.get(wid, 0.0) + (now - start)
-
-        def top_up():
-            nonlocal outstanding
-            while backlog and transport.can_accept(outstanding):
-                key = backlog.popleft()
-                submits[key] += 1
-                if tel:
-                    now = time.monotonic()
-                    metrics.observe("cluster.queue_wait_s", now - queued_ts.pop(key, run_start))
-                    send_ts[key_rid[key]] = now
-                transport.send(key_rid[key], payload_fn(key, submits[key]))
-                outstanding += 1
-
-        def retry_or_exhaust(key):
-            if max_attempts is not None and submits[key] >= max_attempts:
-                exhausted.add(key)
-            else:
-                metrics.inc("cluster.requeues")
-                if tel:
-                    queued_ts[key] = time.monotonic()
-                backlog.append(key)
-                top_up()
-
-        def handle(message):
-            nonlocal outstanding
-            kind, wid, rid = message[0], message[1], message[2]
-            stale = rid not in rid_key
-            if stale:
-                metrics.inc("cluster.stale_messages")
-            key = rid_key.get(rid)
-            if tel and kind in ("done", "fault", "error"):
-                # completions may carry the worker's cumulative snapshot
-                # as a trailing element (absent on disabled-mode frames)
-                base = 4 if kind in ("done", "error") else 3
-                tail = message[base] if len(message) > base else None
-                if isinstance(tail, dict) and "counters" in tail:
-                    metrics.merge_source(describe(wid), tail)
-            if kind == "claim":
-                in_flight[wid] = key
-                if tel:
-                    now = time.monotonic()
-                    busy_since[wid] = now
-                    start = send_ts.pop(rid, None)
-                    if start is not None:
-                        metrics.observe("cluster.claim_latency_s", now - start)
-                if not stale:
-                    outstanding = max(0, outstanding - 1)
-                top_up()
-            elif kind == "done":
-                in_flight.pop(wid, None)
-                if tel:
-                    settle(wid, time.monotonic())
-                if not stale and key not in results and key not in exhausted:
-                    metrics.inc("cluster.tasks_done")
-                    results[key] = message[3]
-                    if on_done is not None:
-                        on_done(key, message[3])
-            elif kind == "fault":
-                in_flight.pop(wid, None)
-                if tel:
-                    settle(wid, time.monotonic())
-                if stale:
-                    return
-                metrics.inc("cluster.tasks_fault")
-                if on_fault is not None:
-                    on_fault(key)
-                if key not in results:
-                    retry_or_exhaust(key)
-            elif kind == "error":
-                in_flight.pop(wid, None)
-                if tel:
-                    settle(wid, time.monotonic())
-                if not stale:
-                    metrics.inc("cluster.tasks_error")
-                    raise ClusterError(
-                        f"worker {describe(wid)} running {label} {key} "
-                        f"(role {transport.role!r}) raised unexpectedly:\n{message[3]}"
-                    )
-
-        top_up()
-        while len(results) + len(exhausted) < len(keys):
-            message = transport.poll(0.2)
-            if message is not None:
-                handle(message)
-                # a completion frees capacity on transports whose dispatch
-                # tracks busy workers (tcp); a claim frees lookahead slots
-                # on the pipe's shared queue — either way, refill now
-                top_up()
-                continue
-            dead = transport.reap_dead()
-            if not dead:
-                continue
-            # a dead worker sent its messages synchronously before dying —
-            # drain them first so its claim-table entry is authoritative
-            while True:
-                message = transport.poll(0)
-                if message is None:
-                    break
-                handle(message)
-            lost_unclaimed = False
-            for wid in dead:
-                if tel:
-                    settle(wid, time.monotonic())
-                if wid in in_flight:
-                    key = in_flight.pop(wid)
-                    if key is not None:
-                        metrics.inc("cluster.lost_tasks")
-                        if on_lost is not None:
-                            on_lost(key)
-                        if key not in results:
-                            retry_or_exhaust(key)
-                else:
-                    # died with no claim on record: it may have pulled a
-                    # spec it never acknowledged
-                    lost_unclaimed = True
-            if lost_unclaimed:
-                # re-queue every task not finished, not claimed by a live
-                # worker and not already queued for re-dispatch; a task
-                # that was in fact still queued runs twice (idempotent,
-                # results keyed by request id), a swallowed one is
-                # recovered instead of hanging the batch forever
-                accounted = {key for key in in_flight.values() if key is not None}
-                accounted.update(backlog)
-                requeue = [
-                    key for key in keys
-                    if key not in results and key not in exhausted and key not in accounted
-                ]
-                metrics.inc("cluster.conservative_requeues", len(requeue))
-                if tel:
-                    now = time.monotonic()
-                    for key in requeue:
-                        queued_ts[key] = now
-                backlog.extend(requeue)
-                outstanding = 0
-            remaining = len(keys) - len(results) - len(exhausted)
-            target = min(transport.width, remaining)
-            while transport.alive_count < target:
-                if respawn_budget <= 0:
-                    raise WorkerLossError(
-                        f"cluster kept losing {label} workers without making progress"
-                    )
-                if not transport.respawn_one():
-                    break
-                metrics.inc("cluster.respawns")
-                respawn_budget -= 1
-            if transport.alive_count == 0 and remaining > 0:
-                raise WorkerLossError(
-                    f"no live workers remain with {remaining} {label}(s) outstanding"
-                )
-            top_up()
+        self._busy_since.clear()
+        self._busy_acc.clear()
+        results: dict = {}
+        exhausted: list = []
+        try:
+            for key in keys:
+                self._submit(key, partial(payload_fn, key), max_attempts, on_fault, on_lost)
+            while len(results) + len(exhausted) < len(keys):
+                for key, result in self.poll(0.2):
+                    if result is _EXHAUSTED:
+                        exhausted.append(key)
+                    elif isinstance(result, ClusterError):
+                        raise result
+                    else:
+                        results[key] = result
+                        if on_done is not None:
+                            on_done(key, result)
+        except BaseException:
+            self._tasks.clear()
+            self._rids.clear()
+            self._backlog.clear()
+            self._completed.clear()
+            raise
         if tel:
             end = time.monotonic()
-            for wid, start in busy_since.items():  # still mid-task at batch end
-                busy_acc[wid] = busy_acc.get(wid, 0.0) + (end - start)
+            busy = dict(self._busy_acc)
+            for wid, since in self._busy_since.items():  # still mid-task at batch end
+                busy[wid] = busy.get(wid, 0.0) + (end - since)
             elapsed = max(end - run_start, 1e-9)
-            for wid, busy in busy_acc.items():
-                metrics.set_gauge(f"cluster.utilization.{describe(wid)}", busy / elapsed)
+            for wid, seconds in busy.items():
+                metrics.set_gauge(
+                    f"cluster.utilization.{self._transport.describe_worker(wid)}", seconds / elapsed
+                )
             metrics.observe("cluster.batch_s", elapsed)
             metrics.record_span(f"cluster.run:{label}", run_start, elapsed, tasks=len(keys))
         return results, sorted(exhausted)
 
+    # -- the claim table -------------------------------------------------------
+
+    def _submit(self, key, payload, max_attempts=None, on_fault=None, on_lost=None) -> None:
+        self.start()
+        if key in self._tasks:
+            raise ValueError(f"task key {key!r} is already in flight")
+        task = _Task(key, self._next_rid, payload, max_attempts, on_fault, on_lost)
+        self._next_rid += 1
+        self._tasks[key] = task
+        self._rids[task.rid] = task
+        self._enqueue(task)
+        self._top_up()
+
+    def _enqueue(self, task: _Task) -> None:
+        if metrics.enabled:
+            self._queued_ts[task.rid] = time.monotonic()
+        self._backlog.append(task)
+
+    def _top_up(self) -> None:
+        while self._backlog and self._transport.can_accept(self._outstanding):
+            task = self._backlog.popleft()
+            if task.rid not in self._rids:
+                continue  # completed or dropped while still queued
+            task.attempts += 1
+            if metrics.enabled:
+                now = time.monotonic()
+                queued = self._queued_ts.pop(task.rid, None)
+                if queued is not None:
+                    metrics.observe("cluster.queue_wait_s", now - queued)
+                self._send_ts[task.rid] = now
+            self._transport.send(task.rid, task.payload(task.attempts))
+            self._outstanding += 1
+
+    def _retry(self, task: _Task) -> None:
+        """Re-queue a faulted or lost task, or finish it as exhausted."""
+        if task.max_attempts is not None and task.attempts >= task.max_attempts:
+            self._finish(task, _EXHAUSTED)
+        elif task not in self._backlog:
+            metrics.inc("cluster.requeues")
+            self._enqueue(task)
+
+    def _finish(self, task: _Task, result) -> None:
+        del self._tasks[task.key]
+        del self._rids[task.rid]
+        self._queued_ts.pop(task.rid, None)
+        self._send_ts.pop(task.rid, None)
+        self._completed.append((task.key, result))
+        self._deaths = 0
+
+    def _handle(self, message) -> None:
+        kind, wid, rid = message[0], message[1], message[2]
+        task = self._rids.get(rid)
+        if task is None:
+            metrics.inc("cluster.stale_messages")
+        if metrics.enabled:
+            self._observe(kind, wid, rid, message)
+        if kind == "claim":
+            self._in_flight[wid] = task
+            # any claim, stale or not, takes one spec off the transport
+            self._outstanding = max(0, self._outstanding - 1)
+            self._top_up()
+            return
+        self._in_flight.pop(wid, None)
+        if task is None:
+            return
+        if kind == "done":
+            metrics.inc("cluster.tasks_done")
+            self._finish(task, message[3])
+        elif kind == "fault":
+            metrics.inc("cluster.tasks_fault")
+            if task.on_fault is not None:
+                task.on_fault(task.key)
+            self._retry(task)
+        elif kind == "error":
+            metrics.inc("cluster.tasks_error")
+            self._finish(task, ClusterError(
+                f"worker {self._transport.describe_worker(wid)} running task {task.key} "
+                f"(role {self._transport.role!r}) raised unexpectedly:\n{message[3]}"
+            ))
+
+    def _observe(self, kind, wid, rid, message) -> None:
+        """Telemetry of one message: claim latency, busy time, worker snapshots."""
+        now = time.monotonic()
+        if kind == "claim":
+            self._busy_since[wid] = now
+            start = self._send_ts.pop(rid, None)
+            if start is not None:
+                metrics.observe("cluster.claim_latency_s", now - start)
+            return
+        self._settle(wid, now)
+        # completions may carry the worker's cumulative snapshot as a
+        # trailing element (absent on disabled-mode frames)
+        base = 3 if kind == "fault" else 4
+        tail = message[base] if len(message) > base else None
+        if isinstance(tail, dict) and "counters" in tail:
+            metrics.merge_source(self._transport.describe_worker(wid), tail)
+
+    def _settle(self, wid, now: float) -> None:
+        """Close a worker's busy interval."""
+        start = self._busy_since.pop(wid, None)
+        if start is not None:
+            self._busy_acc[wid] = self._busy_acc.get(wid, 0.0) + (now - start)
+
+    def _check_dead(self) -> None:
+        transport = self._transport
+        dead = transport.reap_dead()
+        if not dead:
+            return
+        # a dead worker sent its messages synchronously before dying —
+        # drain them first so its claim-table entry is authoritative
+        while (message := transport.poll(0)) is not None:
+            self._handle(message)
+        self._deaths += len(dead)
+        lost_unclaimed = False
+        for wid in dead:
+            if metrics.enabled:
+                self._settle(wid, time.monotonic())
+            if wid not in self._in_flight:
+                # died with no claim on record: it may have pulled a spec
+                # it never acknowledged
+                lost_unclaimed = True
+                continue
+            task = self._in_flight.pop(wid)
+            if task is not None and task.rid in self._rids:
+                metrics.inc("cluster.lost_tasks")
+                if task.on_lost is not None:
+                    task.on_lost(task.key)
+                self._retry(task)
+        if lost_unclaimed:
+            # re-queue every live task neither claimed by a live worker nor
+            # already queued; a task that was in fact still queued runs
+            # twice (idempotent, results keyed by request id), a swallowed
+            # one is recovered instead of hanging forever
+            accounted = {task.rid for task in self._in_flight.values() if task is not None}
+            accounted.update(task.rid for task in self._backlog)
+            requeue = [task for task in self._tasks.values() if task.rid not in accounted]
+            metrics.inc("cluster.conservative_requeues", len(requeue))
+            for task in requeue:
+                self._enqueue(task)
+            self._outstanding = 0
+        budget = 2 * transport.width + sum(task.max_attempts or 1 for task in self._tasks.values())
+        if self._deaths > budget:
+            raise WorkerLossError("cluster kept losing workers without making progress")
+        target = min(transport.width, max(len(self._tasks), 1))
+        while transport.alive_count < target and transport.respawn_one():
+            metrics.inc("cluster.respawns")
+        if transport.alive_count == 0 and self._tasks:
+            raise WorkerLossError(
+                f"no live workers remain with {len(self._tasks)} task(s) outstanding"
+            )
+        self._top_up()
+
     def close(self) -> None:
+        """Stop the workers, then unlink the shared-memory segments the
+        service owns (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._started:
+        try:
             self._transport.close()
+        finally:
+            for segment in self._segments:
+                segment.unlink()
 
     def __enter__(self) -> "ClusterService":
         self.start()
@@ -1363,242 +1432,57 @@ class ClusterService:
         self.close()
 
 
-class ClusterStream:
-    """Incremental claim/done dispatch for long-lived services.
+def open_service(
+    role: str,
+    graph,
+    context: dict,
+    *,
+    width: int,
+    transport: str = "pipe",
+    nodes=None,
+    shm: bool = True,
+    pool=None,
+    host_only: dict | None = None,
+) -> ClusterService:
+    """A :class:`ClusterService` whose ``role`` workers each hold ``graph``.
 
-    :meth:`ClusterService.run` drives one *finite* batch of tasks to
-    completion and returns; a serving frontend instead submits tasks as
-    requests arrive and collects completions as they finish, indefinitely.
-    This class exposes the same worker protocol incrementally:
-    :meth:`submit` enqueues one keyed task, :meth:`poll` pumps the
-    transport and returns every task that completed since the last call
-    as ``(key, result)`` pairs.
+    The one driver-side place that decides how the graph reaches a
+    worker: :func:`~repro.distributed.shm.share_graph` picks the ref and
+    roles read it back with :func:`~repro.distributed.shm.attach_graph_ref`.
+    Each worker's context is ``context`` plus a ``graph_ref`` entry (and a
+    ``pool_ref`` one for a ``(flats, params)`` ``pool``). ``host_only``
+    entries are added only where every worker that keeps the context
+    shares this host: the pipe transport, or a shared-memory ref, which
+    only a same-host worker can attach. Over tcp, a worker whose init
+    fails on that context (a remote node cannot reach the segment) is
+    sent the serialized-arrays context instead, without ``host_only``; a
+    store-backed graph has no such fallback, since materialising its
+    features would defeat the memory budget. ``nodes`` lists remote tcp
+    workers; without them ``width`` workers are spawned here.
 
-    The batch service's protections carry over unchanged:
-
-    * request ids unique across the stream lifetime, so frames left over
-      from a task that already completed (a duplicate execution after a
-      conservative requeue) are recognised as stale and dropped;
-    * the claim table: a worker that dies mid-task has its claimed task
-      resubmitted, and a death with no claim on record conservatively
-      requeues every unaccounted-for task;
-    * respawn bounded by progress — deaths are counted *since the last
-      completion*, so a pool that keeps dying without finishing anything
-      raises :class:`WorkerLossError` instead of spinning forever (any
-      completion resets the budget, which is what "long-lived" needs).
-
-    Tasks must be idempotent: a lost task is resubmitted, and a task a
-    dead worker had in fact swallowed may execute twice. A worker-side
-    *error* (a bug, not a death) completes that task with the
-    :class:`ClusterError` as its result value — one failed request must
-    not tear down a server with other requests in flight; the caller
-    inspects ``isinstance(result, Exception)``.
-
-    Single-consumer: call ``submit``/``poll``/``close`` from one thread.
+    The service is returned unstarted; it owns the shared-memory
+    segments and unlinks them in :meth:`ClusterService.close`.
     """
-
-    def __init__(self, transport) -> None:
-        self._transport = transport
-        self._next_rid = 0
-        self._rid_key: dict[int, object] = {}  # live tasks only
-        self._key_rid: dict[object, int] = {}
-        self._payloads: dict[object, object] = {}  # kept for resubmission
-        self._backlog: deque = deque()
-        self._in_flight: dict[int, object] = {}  # worker id -> claimed key
-        self._outstanding = 0  # sent to the transport but not yet claimed
-        self._completed: list[tuple[object, object]] = []
-        self._deaths_since_progress = 0
-        self._send_ts: dict[int, float] = {}
-        self._queued_ts: dict[object, float] = {}
-        self._closed = False
-        transport.start()
-
-    @property
-    def transport(self):
-        return self._transport
-
-    @property
-    def width(self) -> int:
-        return self._transport.width
-
-    def pending(self) -> int:
-        """Live (submitted, not yet completed) task count."""
-        return len(self._key_rid)
-
-    def submit(self, key, payload) -> None:
-        """Enqueue one task; its completion arrives via :meth:`poll`."""
-        if self._closed:
-            raise ClusterError("cluster stream is closed")
-        if key in self._key_rid:
-            raise ValueError(f"task key {key!r} is already in flight")
-        rid = self._next_rid
-        self._next_rid += 1
-        self._rid_key[rid] = key
-        self._key_rid[key] = rid
-        self._payloads[key] = payload
-        if metrics.enabled:
-            self._queued_ts[key] = time.monotonic()
-        self._backlog.append(key)
-        self._top_up()
-
-    def _top_up(self) -> None:
-        transport = self._transport
-        while self._backlog and transport.can_accept(self._outstanding):
-            key = self._backlog.popleft()
-            if key not in self._key_rid:  # completed while still queued
-                continue
-            rid = self._key_rid[key]
-            if metrics.enabled:
-                now = time.monotonic()
-                queued = self._queued_ts.pop(key, None)
-                if queued is not None:
-                    metrics.observe("cluster.queue_wait_s", now - queued)
-                self._send_ts[rid] = now
-            transport.send(rid, self._payloads[key])
-            self._outstanding += 1
-
-    def _requeue(self, key) -> None:
-        if key in self._key_rid and key not in self._backlog:
-            metrics.inc("cluster.requeues")
-            if metrics.enabled:
-                self._queued_ts[key] = time.monotonic()
-            self._backlog.append(key)
-
-    def _finish(self, key, result) -> None:
-        rid = self._key_rid.pop(key)
-        self._rid_key.pop(rid, None)
-        self._payloads.pop(key, None)
-        self._send_ts.pop(rid, None)
-        self._queued_ts.pop(key, None)
-        self._completed.append((key, result))
-        self._deaths_since_progress = 0
-
-    def _handle(self, message) -> None:
-        kind, wid, rid = message[0], message[1], message[2]
-        if rid not in self._rid_key:
-            metrics.inc("cluster.stale_messages")
-            if kind in ("done", "fault", "error"):
-                self._in_flight.pop(wid, None)
-            elif kind == "claim":
-                self._in_flight[wid] = None
-            return
-        key = self._rid_key[rid]
-        if kind == "claim":
-            self._in_flight[wid] = key
-            self._outstanding = max(0, self._outstanding - 1)
-            if metrics.enabled:
-                start = self._send_ts.pop(rid, None)
-                if start is not None:
-                    metrics.observe("cluster.claim_latency_s", time.monotonic() - start)
-            self._top_up()
-        elif kind == "done":
-            self._in_flight.pop(wid, None)
-            metrics.inc("cluster.tasks_done")
-            self._finish(key, message[3])
-        elif kind == "fault":
-            # serving roles declare no fault types; treat a declared fault
-            # like a loss — idempotent tasks simply go around again
-            self._in_flight.pop(wid, None)
-            metrics.inc("cluster.tasks_fault")
-            self._requeue(key)
-        elif kind == "error":
-            self._in_flight.pop(wid, None)
-            metrics.inc("cluster.tasks_error")
-            describe = getattr(self._transport, "describe_worker", None)
-            label = describe(wid) if describe is not None else f"{self._transport.name}:w{wid}"
-            self._finish(
-                key,
-                ClusterError(
-                    f"worker {label} running task {key} "
-                    f"(role {self._transport.role!r}) raised unexpectedly:\n{message[3]}"
-                ),
-            )
-
-    def _check_dead(self) -> None:
-        transport = self._transport
-        dead = transport.reap_dead()
-        if not dead:
-            return
-        # a dead worker sent its messages synchronously before dying —
-        # drain them first so its claim-table entry is authoritative
-        while True:
-            message = transport.poll(0)
-            if message is None:
-                break
-            self._handle(message)
-        self._deaths_since_progress += len(dead)
-        lost_unclaimed = False
-        for wid in dead:
-            if wid in self._in_flight:
-                key = self._in_flight.pop(wid)
-                if key is not None:
-                    metrics.inc("cluster.lost_tasks")
-                    self._requeue(key)
-            else:
-                lost_unclaimed = True
-        if lost_unclaimed:
-            accounted = {key for key in self._in_flight.values() if key is not None}
-            accounted.update(self._backlog)
-            requeue = [key for key in self._key_rid if key not in accounted]
-            metrics.inc("cluster.conservative_requeues", len(requeue))
-            if metrics.enabled:
-                now = time.monotonic()
-                for key in requeue:
-                    self._queued_ts[key] = now
-            self._backlog.extend(requeue)
-            self._outstanding = 0
-        if self._deaths_since_progress > 2 * transport.width + 4:
-            raise WorkerLossError(
-                "cluster stream kept losing workers without completing a task"
-            )
-        target = min(transport.width, max(len(self._key_rid), 1))
-        while transport.alive_count < target:
-            if not transport.respawn_one():
-                break
-            metrics.inc("cluster.respawns")
-        if transport.alive_count == 0 and self._key_rid:
-            raise WorkerLossError(
-                f"no live workers remain with {len(self._key_rid)} task(s) outstanding"
-            )
-        self._top_up()
-
-    def poll(self, timeout: float = 0.0) -> list[tuple[object, object]]:
-        """Pump the transport for up to ``timeout`` seconds; return every
-        task that completed (``(key, result)``, completion order). Returns
-        as soon as at least one completion is available."""
-        if self._closed:
-            raise ClusterError("cluster stream is closed")
-        self._top_up()
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while True:
-            if self._completed:
-                out = self._completed
-                self._completed = []
-                return out
-            remaining = deadline - time.monotonic()
-            message = self._transport.poll(min(remaining, 0.05) if remaining > 0 else 0)
-            if message is not None:
-                self._handle(message)
-                # drain whatever else already arrived before returning
-                while True:
-                    message = self._transport.poll(0)
-                    if message is None:
-                        break
-                    self._handle(message)
-                self._top_up()
-                continue
-            self._check_dead()
-            if remaining <= 0 and not self._completed:
-                return []
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._transport.close()
-
-    def __enter__(self) -> "ClusterStream":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+    if transport not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}; choose from {TRANSPORTS}")
+    nodes = parse_nodes(nodes)
+    if nodes and transport != "tcp":
+        raise ValueError("worker nodes require transport='tcp'")
+    refs, fallback, segments = share_graph(graph, shm, pool)
+    primary = {**context, **refs}
+    # only a worker on this host can attach one of its segments
+    if host_only and (transport == "pipe" or segments):
+        primary.update(host_only)
+    if transport == "tcp":
+        cluster_transport = TcpTransport(
+            role,
+            primary,
+            fallback_context=None if fallback is None else {**context, **fallback},
+            nodes=nodes,
+            spawn_local=0 if nodes else width,
+        )
+    else:
+        cluster_transport = PipeTransport(role, primary, width=width)
+    service = ClusterService(cluster_transport)
+    service._segments = segments
+    return service

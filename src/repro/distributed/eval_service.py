@@ -19,10 +19,9 @@ claim/done worker service Phase-1 training runs on):
   candidates zero-copy from views into it instead of unpickling N state
   dicts per task. Non-linear candidates (e.g. sparse soups) fall back to
   an explicit pickled state dict.
-* **shared-memory graph transport** — the evaluation graph ships through
-  a :class:`~repro.distributed.shm.SharedGraphBuffer` exactly like
-  Phase-1 training graphs (pickled-payload fallback when shared memory is
-  unavailable).
+* **one graph-shipping path** — the evaluation graph reaches workers
+  exactly like Phase-1 training graphs
+  (:func:`~repro.distributed.cluster.open_service`).
 * **pluggable transports** — ``transport="pipe"`` (default) spawns the
   worker pool on this host; ``transport="tcp"`` scores candidates on
   socket workers that may live on other machines (``nodes=["host:port",
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import struct
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -56,21 +54,11 @@ import numpy as np
 from ..graph.graph import Graph
 from ..models import build_model
 from ..telemetry import metrics
-from ..tensor import clear_alloc_hooks
 from ..train import accuracy, evaluate_logits
-from .cluster import (
-    TRANSPORTS,
-    ClusterService,
-    PipeTransport,
-    TcpTransport,
-    WorkerLossError,
-    WorkerRole,
-    parse_nodes,
-)
+from .cluster import WorkerLossError, WorkerRole, open_service
 from . import wire
-from .ingredients import _graph_from_payload, _graph_to_payload
 from .scheduler import _validate_num_workers
-from .shm import SharedGraphBuffer, SharedPoolBuffer, attach_graph, attach_pool
+from .shm import attach_graph_ref, attach_pool_ref
 
 __all__ = [
     "EVAL_KINDS",
@@ -342,32 +330,12 @@ class _EvalWorkerState:
 
 
 def _eval_role_init(context: dict) -> _EvalWorkerState:
-    """Attach the graph and the flat-state stack (shared memory when the
-    segments are reachable — the driver's fallback protocol sends the
-    serialized arrays otherwise) and build the working model."""
-    # a worker forked while the driver's MemoryMeter was active inherits
-    # its alloc hooks; worker allocations are not the driver's measurement
-    clear_alloc_hooks()
-    attachments = []
-    graph_ref, pool_ref = context["graph_ref"], context["pool_ref"]
-    if graph_ref["kind"] == "shm":
-        metrics.inc("transport.shm_attaches")
-        attached_graph = attach_graph(graph_ref["spec"])
-        attachments.append(attached_graph)
-        graph = attached_graph.graph
-    else:
-        metrics.inc("transport.payload_inits")
-        graph = _graph_from_payload(graph_ref["payload"])
-    if pool_ref["kind"] == "shm":
-        metrics.inc("transport.shm_attaches")
-        attached_pool = attach_pool(pool_ref["spec"])
-        attachments.append(attached_pool)
-        flats, params = attached_pool.flats, attached_pool.spec.params
-    else:
-        metrics.inc("transport.payload_inits")
-        flats, params = pool_ref["flats"], pool_ref["params"]
+    """Attach the graph and the flat-state stack through their refs and
+    build the working model."""
+    graph, graph_handle = attach_graph_ref(context["graph_ref"])
+    flats, params, pool_handle = attach_pool_ref(context["pool_ref"])
     model = build_model(**context["model_config"])
-    return _EvalWorkerState(graph, flats, params, model, attachments)
+    return _EvalWorkerState(graph, flats, params, model, (graph_handle, pool_handle))
 
 
 def _eval_one(state: _EvalWorkerState, task: EvalTask):
@@ -443,9 +411,9 @@ class EvalService:
     results in request order. All worker-protocol mechanics (claim/done
     bookkeeping, death detection, lost-task recovery, respawn budgets,
     stale-message tolerance across batches) are the shared
-    :class:`~repro.distributed.cluster.ClusterService`'s; this wrapper
-    owns only the Phase-2 payloads: the shared-memory graph/pool buffers
-    and their serialized fallbacks.
+    :class:`~repro.distributed.cluster.ClusterService`'s, and the graph
+    and pool ship through :func:`~repro.distributed.cluster.open_service`;
+    this wrapper owns only the Phase-2 payloads and their batching.
     """
 
     def __init__(
@@ -467,77 +435,20 @@ class EvalService:
                     f"eval_batch must be 'adaptive' or an int >= 1, got {eval_batch!r}"
                 )
         self._eval_batch = eval_batch
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; choose from {TRANSPORTS}")
-        nodes = parse_nodes(nodes)
-        if nodes and transport != "tcp":
-            raise ValueError("worker nodes require transport='tcp'")
-        self.num_workers = len(nodes) if nodes else num_workers
+        self._service = open_service(
+            "eval",
+            graph,
+            {"model_config": dict(model_config)},
+            width=num_workers,
+            transport=transport,
+            nodes=nodes,
+            shm=shm,
+            pool=(flats, params),
+        )
+        self.num_workers = self._service.width
         self._batcher = _AdaptiveBatcher(self.num_workers)
-        self._graph_buffer = None
-        self._pool_buffer = None
-        graph_ref: dict | None = None
-        pool_ref: dict | None = None
-        if shm:
-            try:
-                self._graph_buffer = SharedGraphBuffer.create(graph)
-                graph_ref = {"kind": "shm", "spec": self._graph_buffer.spec}
-                self._pool_buffer = SharedPoolBuffer.create(flats, params)
-                pool_ref = {"kind": "shm", "spec": self._pool_buffer.spec}
-            except Exception as exc:  # pragma: no cover - platform-dependent
-                warnings.warn(
-                    f"shared-memory transport unavailable for the eval service ({exc!r}); "
-                    "falling back to pickled payloads",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._release_buffers()
-                graph_ref = None
-                pool_ref = None
-        if graph_ref is None:
-            graph_ref = {"kind": "arrays", "payload": _graph_to_payload(graph)}
-        if pool_ref is None:
-            pool_ref = {"kind": "arrays", "flats": flats, "params": tuple(params)}
-        context = {
-            "graph_ref": graph_ref,
-            "pool_ref": pool_ref,
-            "model_config": dict(model_config),
-        }
-        if transport == "tcp":
-            def fallback_context():
-                # pushed once per worker whose shm attach failed — the
-                # cross-node path, where the segment name means nothing
-                return {
-                    "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)},
-                    "pool_ref": {"kind": "arrays", "flats": flats, "params": tuple(params)},
-                    "model_config": dict(model_config),
-                }
-
-            cluster_transport = TcpTransport(
-                "eval",
-                context,
-                fallback_context=fallback_context,
-                nodes=nodes,
-                spawn_local=0 if nodes else self.num_workers,
-            )
-        else:
-            cluster_transport = PipeTransport("eval", context, width=self.num_workers)
-        self._service = ClusterService(cluster_transport)
         self._closed = False
-        try:
-            self._service.start()
-        except BaseException:
-            self._service.close()
-            self._release_buffers()
-            raise
-
-    def _release_buffers(self) -> None:
-        if self._graph_buffer is not None:
-            self._graph_buffer.unlink()
-            self._graph_buffer = None
-        if self._pool_buffer is not None:
-            self._pool_buffer.unlink()
-            self._pool_buffer = None
+        self._service.start()
 
     # -- batch dispatch ------------------------------------------------------
 
@@ -590,10 +501,7 @@ class EvalService:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._service.close()
-        finally:
-            self._release_buffers()
+        self._service.close()
 
     def __enter__(self) -> "EvalService":
         return self

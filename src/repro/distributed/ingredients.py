@@ -53,33 +53,22 @@ the makespan an actual W-worker cluster would achieve (Eq. 1/2).
 from __future__ import annotations
 
 import os
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..graph.csr import CSR
 from ..graph.graph import Graph
 from ..models import build_model
 from ..nn import Module
 from ..telemetry import build_report, metrics
-from ..tensor import clear_alloc_hooks
 from ..train import TrainConfig, TrainResult, train_model
 from .checkpoint import CheckpointStore, run_fingerprint
-from .cluster import (
-    TRANSPORTS,
-    ClusterService,
-    PipeTransport,
-    TcpTransport,
-    WorkerLossError,
-    WorkerRole,
-    parse_nodes,
-)
+from .cluster import TRANSPORTS, WorkerLossError, WorkerRole, open_service, parse_nodes
 from .faults import FaultPlan, SimulatedWorkerFault
 from .scheduler import TaskSchedule, WorkerPoolSimulator, _validate_num_workers
-from .shm import SharedGraphBuffer, attach_graph
+from .shm import attach_graph_ref
 
 __all__ = [
     "EXECUTORS",
@@ -207,37 +196,6 @@ class IngredientTask:
     fault_after_epochs: int = 0
 
 
-def _graph_to_payload(graph: Graph) -> dict:
-    """Raw-array form of a graph for shipping to worker processes (the
-    cached message-passing operators deliberately stay behind)."""
-    return dict(
-        indptr=graph.csr.indptr,
-        indices=graph.csr.indices,
-        num_nodes=graph.csr.num_nodes,
-        features=graph.features,
-        labels=graph.labels,
-        train_mask=graph.train_mask,
-        val_mask=graph.val_mask,
-        test_mask=graph.test_mask,
-        num_classes=graph.num_classes,
-        name=graph.name,
-    )
-
-
-def _graph_from_payload(payload: dict) -> Graph:
-    """Inverse of :func:`_graph_to_payload`."""
-    return Graph(
-        CSR(payload["indptr"], payload["indices"], payload["num_nodes"]),
-        payload["features"],
-        payload["labels"],
-        payload["train_mask"],
-        payload["val_mask"],
-        payload["test_mask"],
-        payload["num_classes"],
-        name=payload["name"],
-    )
-
-
 def _run_task(
     task: IngredientTask,
     graph: Graph,
@@ -297,9 +255,9 @@ def _run_task(
 
 
 # Worker-process state, populated once per worker by _role_init:
-# the graph arrives through a shared-memory descriptor or a pickled payload
-# instead of once per task (it dominates task payload size), and the
-# checkpoint handle is opened without the stale-tmp sweep (the driver swept).
+# the graph arrives once per worker through its ref instead of once per
+# task (it dominates task payload size), and the checkpoint handle is
+# opened without the stale-tmp sweep (the driver swept).
 _WORKER_GRAPH: Graph | None = None
 _WORKER_SHM = None  # keeps the shared segment mapped for _WORKER_GRAPH's views
 _WORKER_STORE: CheckpointStore | None = None
@@ -308,28 +266,9 @@ _WORKER_CKPT_EVERY: int = 0
 
 def _role_init(context: dict) -> None:
     """Cluster-role init: populate the per-worker globals from the shipped
-    context (graph via shm, store or payload; optional checkpoint handle)."""
+    context (the graph through its ref; optional checkpoint handle)."""
     global _WORKER_GRAPH, _WORKER_SHM, _WORKER_STORE, _WORKER_CKPT_EVERY
-    # a worker forked while a MemoryMeter was active inherits its alloc
-    # hooks; worker allocations are not the driver's measurement
-    clear_alloc_hooks()
-    graph_ref = context["graph_ref"]
-    if graph_ref["kind"] == "shm":
-        metrics.inc("transport.shm_attaches")
-        _WORKER_SHM = attach_graph(graph_ref["spec"])
-        _WORKER_GRAPH = _WORKER_SHM.graph
-    elif graph_ref["kind"] == "graph_store":
-        # out-of-core: each worker reopens the mmap store (shared
-        # filesystem) instead of receiving a materialised feature matrix
-        from ..graph.store import GraphStore
-
-        metrics.inc("transport.store_opens")
-        _WORKER_GRAPH = GraphStore(
-            graph_ref["path"], memory_budget=graph_ref.get("budget")
-        ).graph()
-    else:
-        metrics.inc("transport.payload_inits")
-        _WORKER_GRAPH = _graph_from_payload(graph_ref["payload"])
+    _WORKER_GRAPH, _WORKER_SHM = attach_graph_ref(context["graph_ref"])
     store_args = context.get("store_args")
     _WORKER_STORE = (
         CheckpointStore(
@@ -389,23 +328,27 @@ def _serial_dynamic(pending, graph, max_retries, attempts, faults_left, on_done,
 
 
 def _process_dynamic(
-    pending, transport, max_retries, attempts, faults_left, on_done, checkpoint_every, resume,
+    pending, graph, num_workers, max_retries, store, attempts, faults_left,
+    on_done, shm, checkpoint_every, resume, transport, nodes,
 ):
     """Work-stealing worker pool on the shared cluster runtime.
 
-    Workers are persistent: each pulls the next spec the moment it
-    finishes the last, so stragglers never idle the rest of the pool and
-    a retried task rides along with the still-draining queue. A worker
-    that hard-dies (kill fault) costs exactly one worker: its claimed
-    task re-enters the queue and — where the transport owns its workers —
-    a replacement process is spawned, while every other worker keeps its
-    warm graph attachment.
+    Workers are persistent and receive the graph once, at their handshake
+    (:func:`~repro.distributed.cluster.open_service` picks how). Each pulls
+    the next spec the moment it finishes the last, so stragglers never
+    idle the rest of the pool and a retried task rides along with the
+    still-draining queue. A worker that hard-dies (kill fault) costs
+    exactly one worker: its claimed task re-enters the queue and — where
+    the transport owns its workers — a replacement process is spawned,
+    while every other worker keeps its warm graph attachment.
 
     All protocol mechanics (claim/done bookkeeping, lost-task recovery,
     respawn budget, backlog feeding) live in
     :class:`~repro.distributed.cluster.ClusterService`; this wrapper only
-    supplies the Phase-1 semantics: per-attempt inject/resume flags and
-    the fault-budget accounting.
+    supplies the Phase-1 semantics: per-attempt inject/resume flags, the
+    fault-budget accounting, and checkpoint handles for the workers that
+    share the driver's host (a remote worker snapshots nothing; the
+    driver still persists every *finished* ingredient it receives back).
 
     Fault-budget accounting: an exception fault consumes budget when the
     worker reports it; a kill fault's budget is consumed when its claimed
@@ -435,7 +378,21 @@ def _process_dynamic(
         if current_inject.get(index) and task.kill:
             faults_left[index] -= 1  # the planned death fired
 
-    service = ClusterService(transport)
+    store_args = (
+        (str(store.directory.parent), store.fingerprint, store.keep_epochs)
+        if store is not None
+        else None
+    )
+    service = open_service(
+        "ingredients",
+        graph,
+        {},
+        width=min(num_workers, len(pending)),
+        transport=transport,
+        nodes=nodes,
+        shm=shm,
+        host_only={"store_args": store_args, "checkpoint_every": checkpoint_every},
+    )
     try:
         return service.run(
             [task.index for task in pending],
@@ -450,106 +407,6 @@ def _process_dynamic(
         raise IngredientTrainingError(str(exc)) from exc
     finally:
         service.close()
-
-
-# ---------------------------------------------------------------------------
-# execution driver
-# ---------------------------------------------------------------------------
-
-
-def _process_execute(
-    tasks, graph, num_workers, max_retries, store, attempts, faults_left,
-    on_done, shm, checkpoint_every, resume, transport, nodes,
-):
-    """Ship the graph once per pool, then drain the tasks through
-    :func:`_process_dynamic` on a pipe or tcp cluster transport.
-
-    The graph travels through a shared-memory segment owned here (created
-    before the first worker, unlinked in ``finally`` — workers hold views,
-    so the segment must outlive them but never the driver), or as a
-    pickled payload when ``shm=False`` or the platform lacks shared
-    memory. Over the ``tcp`` transport the shared-memory reference still
-    serves same-host workers (loopback ones attach zero-copy); a worker
-    that cannot reach the segment — a genuinely remote node — receives
-    the serialized graph payload instead, pushed once at its handshake.
-    Checkpoint handles ride only with the shared-memory context: a worker
-    that can attach the segment shares the driver's filesystem, a remote
-    one snapshots nothing (the driver still persists every *finished*
-    ingredient it receives back).
-    """
-    store_args = (
-        (str(store.directory.parent), store.fingerprint, store.keep_epochs)
-        if store is not None
-        else None
-    )
-    shm_buffer = None
-    graph_ref: dict | None = None
-    if graph.is_store_backed:
-        # out-of-core: ship only the store path; workers mmap the
-        # arrays themselves, so no feature bytes cross the transport
-        graph_ref = {
-            "kind": "graph_store",
-            "path": str(graph.store.path),
-            "budget": graph.store.memory_budget,
-        }
-    elif shm:
-        try:
-            shm_buffer = SharedGraphBuffer.create(graph)
-            graph_ref = {"kind": "shm", "spec": shm_buffer.spec}
-        except Exception as exc:  # pragma: no cover - platform-dependent
-            warnings.warn(
-                f"shared-memory graph transport unavailable ({exc!r}); "
-                "falling back to pickled payloads",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    if graph_ref is None:
-        graph_ref = {"kind": "arrays", "payload": _graph_to_payload(graph)}
-
-    try:
-        shm_backed = graph_ref["kind"] == "shm"
-        context = {
-            "graph_ref": graph_ref,
-            # over tcp, checkpoint handles only make sense for workers
-            # sharing the driver's host (== the ones that can attach its
-            # shm segment)
-            "store_args": store_args if (transport == "pipe" or shm_backed) else None,
-            "checkpoint_every": checkpoint_every if (transport == "pipe" or shm_backed) else 0,
-        }
-        if transport == "tcp":
-            if graph_ref["kind"] == "graph_store":
-                # no payload fallback: materialising the feature matrix
-                # would defeat the memory budget, so remote workers must
-                # share the store's filesystem
-                fallback = None
-            else:
-                def fallback_context():
-                    return {
-                        "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)},
-                        "store_args": None,
-                        "checkpoint_every": 0,
-                    }
-
-                fallback = fallback_context
-
-            cluster_transport = TcpTransport(
-                "ingredients",
-                context,
-                fallback_context=fallback,
-                nodes=nodes,
-                spawn_local=0 if nodes else min(num_workers, len(tasks)),
-            )
-        else:
-            cluster_transport = PipeTransport(
-                "ingredients", context, width=min(num_workers, len(tasks))
-            )
-        return _process_dynamic(
-            tasks, cluster_transport, max_retries, attempts, faults_left,
-            on_done, checkpoint_every, resume,
-        )
-    finally:
-        if shm_buffer is not None:
-            shm_buffer.unlink()
 
 
 def _execute_tasks(
@@ -594,7 +451,7 @@ def _execute_tasks(
             on_done, store, checkpoint_every, resume,
         )
     else:
-        results, exhausted = _process_execute(
+        results, exhausted = _process_dynamic(
             tasks, graph, num_workers, max_retries, store, attempts, faults_left,
             on_done, shm, checkpoint_every, resume, transport, nodes,
         )

@@ -1,39 +1,43 @@
-"""Shared-memory graph transport for the process executors.
+"""How the graph reaches cluster workers: refs, and the shared-memory transport.
 
-Shipping a graph to worker processes through pickling copies every array
-once per worker under ``spawn`` (and once per pool under ``fork``, plus
-copy-on-write page faults). For Phase-1 training the graph is read-only
-and identical in every worker, so this module ships it **once**, through
-``multiprocessing.shared_memory``: the parent packs the CSR structure,
-features, labels and split masks into a single named segment, workers
-attach lazily by name and rebuild a :class:`~repro.graph.graph.Graph`
-whose arrays are zero-copy views into the segment.
+Every cluster worker holds the whole graph: Phase-1 tasks, Phase-2
+evaluations and served forward passes all read all of it. The driver
+ships it once per worker as one of three *refs*, picked by
+:func:`share_graph` and read back in the worker by
+:func:`attach_graph_ref`:
+
+* ``graph_store`` — the path of a store-backed graph's mmap
+  :class:`~repro.graph.store.GraphStore`; the worker reopens the store,
+  so no feature bytes cross the transport;
+* ``shm`` — a :class:`SharedGraphBuffer` segment: the parent packs the
+  CSR structure, features, labels and split masks into a single named
+  ``multiprocessing.shared_memory`` segment, and workers rebuild a
+  :class:`~repro.graph.graph.Graph` whose arrays are zero-copy views into
+  it. A :class:`SharedGraphSpec` is the picklable descriptor crossing the
+  process boundary; it is a few hundred bytes regardless of graph size;
+* ``arrays`` — the raw arrays, pickled into the worker's handshake.
+
+:class:`SharedPoolBuffer` does the same for the Phase-2 evaluator's
+``[N, D]`` stack of flat ingredient states (``pool_ref``).
 
 Lifecycle contract:
 
 * the **creator** (the run driver) owns the segment: it is unlinked when
   the context manager exits or :meth:`SharedGraphBuffer.unlink` runs —
-  the executor wraps the whole pool lifetime in ``try/finally``, so the
-  segment is released even when workers are hard-killed mid-task or the
-  driver raises;
+  the cluster service that ships it unlinks it on close, so the segment
+  is released even when workers are hard-killed mid-task or the driver
+  raises;
 * **workers** attach read-only views and merely ``close()`` their handle;
   attaching unregisters the segment from the worker's
   ``resource_tracker`` so a dying worker can neither unlink the segment
   under the survivors nor spam leak warnings at interpreter exit;
 * ``unlink()`` is idempotent — a double release (context exit after an
   explicit cleanup) is a no-op.
-
-A :class:`SharedGraphSpec` is the picklable descriptor crossing the
-process boundary (segment name + field offsets/dtypes/shapes); it is a
-few hundred bytes regardless of graph size, which is the entire point.
-Every worker attaches the whole graph: Phase-1 tasks and Phase-2
-evaluations all read all of it, so there is nothing to gain from
-shipping a part. :class:`SharedPoolBuffer` does the same for the
-Phase-2 evaluator's ``[N, D]`` stack of flat ingredient states.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -41,6 +45,8 @@ import numpy as np
 
 from ..graph.csr import CSR
 from ..graph.graph import Graph
+from ..graph.store import GraphStore
+from ..telemetry import metrics
 
 __all__ = [
     "SharedGraphBuffer",
@@ -48,7 +54,10 @@ __all__ = [
     "SharedPoolBuffer",
     "SharedPoolSpec",
     "attach_graph",
+    "attach_graph_ref",
     "attach_pool",
+    "attach_pool_ref",
+    "share_graph",
 ]
 
 # offsets are aligned so every ndarray view starts on a cache line
@@ -100,11 +109,11 @@ class SharedGraphSpec:
 class SharedGraphBuffer:
     """Creator-side owner of one graph's shared-memory segment.
 
-    Use as a context manager around the worker pool's lifetime::
-
-        with SharedGraphBuffer.create(graph) as buf:
-            run_pool(init_spec=buf.spec)     # workers attach_graph(buf.spec)
-        # segment closed and unlinked here, even on exceptions
+    :func:`share_graph` creates it and the cluster service shipping its
+    :attr:`spec` unlinks it on close; standalone, use it as a context
+    manager around the workers' lifetime (workers call
+    :func:`attach_graph` on the spec), which unlinks it even on
+    exceptions.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, spec: SharedGraphSpec) -> None:
@@ -325,3 +334,108 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = original
+
+
+# ---------------------------------------------------------------------------
+# graph refs
+# ---------------------------------------------------------------------------
+
+
+def _graph_to_payload(graph: Graph) -> dict:
+    """Raw-array form of a graph for shipping to worker processes (the
+    cached message-passing operators deliberately stay behind)."""
+    return dict(
+        indptr=graph.csr.indptr,
+        indices=graph.csr.indices,
+        num_nodes=graph.csr.num_nodes,
+        features=graph.features,
+        labels=graph.labels,
+        train_mask=graph.train_mask,
+        val_mask=graph.val_mask,
+        test_mask=graph.test_mask,
+        num_classes=graph.num_classes,
+        name=graph.name,
+    )
+
+
+def _graph_from_payload(payload: dict) -> Graph:
+    """Inverse of :func:`_graph_to_payload`."""
+    return Graph(
+        CSR(payload["indptr"], payload["indices"], payload["num_nodes"]),
+        payload["features"],
+        payload["labels"],
+        payload["train_mask"],
+        payload["val_mask"],
+        payload["test_mask"],
+        payload["num_classes"],
+        name=payload["name"],
+    )
+
+
+def share_graph(graph: Graph, shm: bool = True, pool=None) -> tuple[dict, dict | None, list]:
+    """Pick how ``graph`` (and an optional ``(flats, params)`` pool) reach workers.
+
+    The ref is the graph's store when it is store-backed, else a fresh
+    shared-memory segment when ``shm`` is set, else the arrays. A
+    platform without usable shared memory degrades to the arrays with a
+    ``RuntimeWarning``. Returns ``(refs, fallback, segments)``: the
+    ``graph_ref``/``pool_ref`` context entries, the arrays-only entries
+    for a worker that cannot use them (``None`` for a store-backed
+    graph), and the segments the caller now owns and must unlink.
+    """
+    arrays = {"graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)}}
+    if pool is not None:
+        arrays["pool_ref"] = {"kind": "arrays", "flats": pool[0], "params": tuple(pool[1])}
+    if graph.is_store_backed:
+        store = {
+            "kind": "graph_store",
+            "path": str(graph.store.path),
+            "budget": graph.store.memory_budget,
+        }
+        return {**arrays, "graph_ref": store}, None, []
+    if not shm:
+        return arrays, arrays, []
+    segments: list = []
+    try:
+        segments.append(SharedGraphBuffer.create(graph))
+        refs = {"graph_ref": {"kind": "shm", "spec": segments[0].spec}}
+        if pool is not None:
+            segments.append(SharedPoolBuffer.create(*pool))
+            refs["pool_ref"] = {"kind": "shm", "spec": segments[1].spec}
+    except OSError as exc:
+        for segment in segments:
+            segment.unlink()
+        warnings.warn(
+            f"shared-memory graph transport unavailable ({exc!r}); "
+            "falling back to pickled payloads",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return arrays, arrays, []
+    return refs, arrays, segments
+
+
+def attach_graph_ref(ref: dict) -> tuple[Graph, _AttachedGraph | None]:
+    """Worker side of :func:`share_graph`: the graph a ref names, plus the
+    shared-memory handle that must stay alive while the graph is used
+    (``None`` for the other kinds)."""
+    if ref["kind"] == "shm":
+        metrics.inc("transport.shm_attaches")
+        handle = attach_graph(ref["spec"])
+        return handle.graph, handle
+    if ref["kind"] == "graph_store":
+        metrics.inc("transport.store_opens")
+        return GraphStore(ref["path"], memory_budget=ref.get("budget")).graph(), None
+    metrics.inc("transport.payload_inits")
+    return _graph_from_payload(ref["payload"]), None
+
+
+def attach_pool_ref(ref: dict) -> tuple[np.ndarray, tuple, _AttachedPool | None]:
+    """Worker side of a ``pool_ref``: ``(flats, params, handle)``, where
+    ``handle`` keeps a shared-memory view alive (``None`` for arrays)."""
+    if ref["kind"] == "shm":
+        metrics.inc("transport.shm_attaches")
+        handle = attach_pool(ref["spec"])
+        return handle.flats, handle.spec.params, handle
+    metrics.inc("transport.payload_inits")
+    return ref["flats"], ref["params"], None

@@ -12,7 +12,8 @@ length-prefixed frame protocol the cluster transports use.
   of the forward pass;
 * :mod:`~repro.serve.server` — request frontend, deterministic batch
   coalescing with adaptive max-batch/max-wait, async dispatch across
-  pipe/tcp workers via :class:`~repro.distributed.cluster.ClusterStream`;
+  pipe/tcp workers through :class:`~repro.distributed.cluster.ClusterService`'s
+  ``submit``/``poll``;
 * :mod:`~repro.serve.client` — the synchronous/pipelined client;
 * :mod:`~repro.serve.loadgen` — the load generator
   (``python -m repro.serve.loadgen``) reporting p50/p99 latency and

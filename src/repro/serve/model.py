@@ -25,16 +25,13 @@ from collections import OrderedDict
 import numpy as np
 
 from ..models import build_model
-from ..telemetry import metrics
-from ..tensor import clear_alloc_hooks
 from ..train import evaluate_logits
 from .cache import NodeCache
 
 # no cycle: cluster.py resolves this module lazily by name (via _ROLES),
 # never at import time
 from ..distributed.cluster import WorkerRole
-from ..distributed.ingredients import _graph_from_payload
-from ..distributed.shm import attach_graph
+from ..distributed.shm import attach_graph_ref
 
 __all__ = ["SERVE_ROLE", "ServedModel", "state_digest", "state_to_wire", "state_from_wire"]
 
@@ -169,32 +166,22 @@ class _ServeWorkerState:
     has already computed — the driver's frontend cache catches repeats
     across workers, this one catches repeats a single worker sees (and
     keeps a ``start-worker`` node cheap when the same hot set is routed
-    to it). Shared-memory attachment handles are kept alive for as long
-    as the graph views borrow their buffers.
+    to it). The shared-memory attachment handle is kept alive for as long
+    as the graph views borrow its buffer.
     """
 
-    __slots__ = ("model", "cache", "_attachments")
+    __slots__ = ("model", "cache", "_handle")
 
-    def __init__(self, model: ServedModel, cache: NodeCache, attachments) -> None:
+    def __init__(self, model: ServedModel, cache: NodeCache, handle) -> None:
         self.model = model
         self.cache = cache
-        self._attachments = attachments
+        self._handle = handle
 
 
 def _serve_role_init(context: dict) -> _ServeWorkerState:
-    """Attach the graph (shared memory when reachable, serialized payload
-    otherwise) and load the served states shipped in the worker context."""
-    clear_alloc_hooks()
-    attachments = []
-    graph_ref = context["graph_ref"]
-    if graph_ref["kind"] == "shm":
-        metrics.inc("transport.shm_attaches")
-        attached = attach_graph(graph_ref["spec"])
-        attachments.append(attached)
-        graph = attached.graph
-    else:
-        metrics.inc("transport.payload_inits")
-        graph = _graph_from_payload(graph_ref["payload"])
+    """Attach the graph through its ref and load the served states shipped
+    in the worker context."""
+    graph, handle = attach_graph_ref(context["graph_ref"])
     model = ServedModel(
         context["model_config"],
         graph,
@@ -202,7 +189,7 @@ def _serve_role_init(context: dict) -> _ServeWorkerState:
         ensemble=context["ensemble"],
     )
     cache = NodeCache(int(context.get("worker_cache_nodes", 0)))
-    return _ServeWorkerState(model, cache, attachments)
+    return _ServeWorkerState(model, cache, handle)
 
 
 def _serve_role_run(state: _ServeWorkerState, node_ids) -> dict[int, np.ndarray]:

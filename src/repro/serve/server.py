@@ -12,11 +12,12 @@ them from three layers, cheapest first:
 2. the **coalescing buffer** — missing nodes join a deduplicated FIFO
    batch that flushes when it reaches the (adaptive) max-batch size or
    its oldest node has waited ``max_wait_s``;
-3. the **backend** — a flush becomes one task on a
-   :class:`~repro.distributed.cluster.ClusterStream` over pipe or tcp
-   workers running the ``"serve"`` role (or an in-process model for
-   ``backend="serial"``). Up to ``width + 2`` flushes are in flight at
-   once, so workers pipeline while the buffer refills.
+3. the **backend** — a flush becomes one task submitted to a
+   :class:`~repro.distributed.cluster.ClusterService` over pipe or tcp
+   workers running the ``"serve"`` role, collected with its ``poll`` (or
+   an in-process model for ``backend="serial"``). Up to ``width + 2``
+   flushes are in flight at once, so workers pipeline while the buffer
+   refills.
 
 Why coalescing is maximal here: the served models are full-graph GNNs —
 one forward pass scores every node, so a 1-node and a 1000-node batch
@@ -33,7 +34,7 @@ row is computed by the single scoring path
 slice), so identical request sets produce bit-identical predictions
 regardless of arrival order, batching, caching, or backend.
 
-Worker death mid-request is the cluster stream's problem, not ours: the
+Worker death mid-request is the cluster service's problem, not ours: the
 lost flush is conservatively resubmitted and the request completes on a
 survivor or a respawn. A worker-side *error* fails only the requests
 waiting on that flush; the server keeps serving.
@@ -55,18 +56,14 @@ import numpy as np
 
 from ..distributed.cluster import (
     TRANSPORTS,
-    ClusterStream,
-    PipeTransport,
-    TcpTransport,
     WorkerLossError,
     _configure_socket,
     _recv_frame,
     _send_frame,
+    open_service,
     parse_nodes,
 )
-from ..distributed.ingredients import _graph_to_payload
 from ..distributed.scheduler import _validate_num_workers
-from ..distributed.shm import SharedGraphBuffer
 from ..telemetry import metrics
 from .cache import NodeCache
 from .model import ServedModel, state_digest, state_to_wire
@@ -159,7 +156,7 @@ class _AdaptiveLimit:
 
 
 class _SerialBackend:
-    """In-process backend with the ClusterStream submit/poll surface."""
+    """In-process backend with the ClusterService submit/poll surface."""
 
     width = 1
 
@@ -177,9 +174,6 @@ class _SerialBackend:
     def poll(self, timeout: float = 0.0) -> list[tuple[object, object]]:
         out, self._done = self._done, []
         return out
-
-    def pending(self) -> int:
-        return len(self._done)
 
     def close(self) -> None:
         pass
@@ -240,7 +234,6 @@ class PredictionServer:
         self._next_flush = 0
         self._pending_requests = 0
 
-        self._graph_buffer = None
         self._backend = None
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
@@ -264,47 +257,22 @@ class PredictionServer:
             return _SerialBackend(
                 ServedModel(self._model_config, self._graph, self._states, ensemble=self._ensemble)
             )
-        wire_states = tuple(state_to_wire(s) for s in self._states)
-        graph_ref: dict | None = None
-        if cfg.shm:
-            try:
-                self._graph_buffer = SharedGraphBuffer.create(self._graph)
-                graph_ref = {"kind": "shm", "spec": self._graph_buffer.spec}
-            except Exception:  # pragma: no cover - platform-dependent
-                self._graph_buffer = None
-        if graph_ref is None:
-            graph_ref = {"kind": "arrays", "payload": _graph_to_payload(self._graph)}
-        context = {
-            "graph_ref": graph_ref,
-            "model_config": dict(self._model_config),
-            "states": wire_states,
-            "ensemble": self._ensemble,
-            "worker_cache_nodes": cfg.worker_cache_nodes,
-        }
-        if cfg.backend == "tcp":
-            graph = self._graph
-
-            def fallback_context():
-                # pushed once per worker whose shm attach failed — the
-                # cross-node path, where the segment name means nothing
-                return {
-                    "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)},
-                    "model_config": dict(self._model_config),
-                    "states": wire_states,
-                    "ensemble": self._ensemble,
-                    "worker_cache_nodes": cfg.worker_cache_nodes,
-                }
-
-            transport = TcpTransport(
-                "serve",
-                context,
-                fallback_context=fallback_context,
-                nodes=cfg.nodes,
-                spawn_local=0 if cfg.nodes else cfg.num_workers,
-            )
-        else:
-            transport = PipeTransport("serve", context, width=cfg.num_workers)
-        return ClusterStream(transport)
+        service = open_service(
+            "serve",
+            self._graph,
+            {
+                "model_config": dict(self._model_config),
+                "states": tuple(state_to_wire(s) for s in self._states),
+                "ensemble": self._ensemble,
+                "worker_cache_nodes": cfg.worker_cache_nodes,
+            },
+            width=cfg.num_workers,
+            transport=cfg.backend,
+            nodes=cfg.nodes,
+            shm=cfg.shm,
+        )
+        service.start()
+        return service
 
     @property
     def width(self) -> int:
@@ -418,7 +386,7 @@ class PredictionServer:
                     except queue.Empty:
                         event = None
                 self._maybe_flush(time.monotonic())
-                if self._inflight or (self._backend is not None and self._backend.pending()):
+                if self._inflight:
                     for key, result in self._backend.poll(0.005):
                         self._complete(key, result)
                     self._maybe_flush(time.monotonic())
@@ -647,9 +615,6 @@ class PredictionServer:
         if self._backend is not None:
             self._backend.close()
             self._backend = None
-        if self._graph_buffer is not None:
-            self._graph_buffer.unlink()
-            self._graph_buffer = None
 
     def __enter__(self) -> "PredictionServer":
         return self

@@ -200,7 +200,7 @@ class TestFallbackPayloadPush:
         cross-node case, simulated with a bogus segment name) reports
         init-error and receives the serialized graph/pool payload once."""
         from repro.distributed.eval_service import EvalTask, stack_flat_states
-        from repro.distributed.ingredients import _graph_to_payload
+        from repro.distributed.shm import _graph_to_payload
         from repro.distributed.shm import SharedGraphSpec
 
         flats, params = stack_flat_states(gcn_pool.states)
@@ -284,8 +284,8 @@ class TestValidationAndStructure:
 
         assert not hasattr(ingredients, "_pool_worker_main")
         assert not hasattr(eval_service, "_eval_worker_main")
-        assert ingredients.ClusterService is cluster.ClusterService
-        assert eval_service.ClusterService is cluster.ClusterService
+        assert ingredients.open_service is cluster.open_service
+        assert eval_service.open_service is cluster.open_service
         assert cluster.resolve_role("ingredients") is ingredients.INGREDIENT_ROLE
         assert cluster.resolve_role("eval") is eval_service.EVAL_ROLE
 
@@ -371,23 +371,15 @@ class TestTcpPayloadAccounting:
     def _bare_transport(self, fallback):
         transport = TcpTransport.__new__(TcpTransport)
         transport._fallback = fallback
-        transport._fallback_value = None
         transport._fallback_frame_bytes = None
         transport._labels = {}
         transport.payload_bytes = {}
         return transport
 
     def test_fallback_frame_serialized_once(self):
-        calls = []
-
-        def fallback():
-            calls.append(1)
-            return {"graph_ref": {"kind": "arrays", "payload": {"n": 1}}}
-
-        transport = self._bare_transport(fallback)
+        transport = self._bare_transport({"graph_ref": {"kind": "arrays", "payload": {"n": 1}}})
         frame = transport._fallback_frame()
         assert transport._fallback_frame() is frame  # cached bytes, no re-pickle
-        assert len(calls) == 1
         kind, ctx = decode_frame(frame)
         assert kind == "context" and ctx["graph_ref"]["payload"] == {"n": 1}
 

@@ -9,18 +9,27 @@ dying must not unlink it) and never twice.
 
 from __future__ import annotations
 
+import errno
 import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.distributed import (
+    EvalService,
+    EvalTask,
     SharedGraphBuffer,
     SharedPoolBuffer,
     attach_graph,
     attach_pool,
+    mix_candidate,
+    score_candidate,
     stack_flat_states,
 )
+from repro.serve import PredictionServer, ServeClient, ServeConfig
+from repro.soup import soup
+from repro.train import evaluate_logits
 
 
 class TestSharedGraphBuffer:
@@ -129,3 +138,50 @@ class TestSharedPoolBuffer:
     def test_non_matrix_stack_rejected(self):
         with pytest.raises(ValueError, match=r"\[N, D\]"):
             SharedPoolBuffer.create(np.zeros(5), ())
+
+
+class TestSegmentCreationFailure:
+    """A platform whose shared memory refuses new segments: the driver
+    warns and ships the graph as pickled arrays, and every role still
+    computes bit-identical results from them."""
+
+    @pytest.fixture
+    def no_segments(self, monkeypatch):
+        attach = shared_memory.SharedMemory
+
+        def refuse_create(name=None, create=False, size=0, **kwargs):
+            if create:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return attach(name=name, create=create, size=size, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse_create)
+
+    def test_eval_role_uses_arrays(self, no_segments, gcn_pool, tiny_graph):
+        flats, params = stack_flat_states(gcn_pool.states)
+        n = len(gcn_pool)
+        weights = [np.full(n, 1.0 / n), np.eye(n)[0]]
+        with pytest.warns(RuntimeWarning, match="shared-memory"):
+            service = EvalService(
+                gcn_pool.model_config, tiny_graph, flats, params, num_workers=2, shm=True
+            )
+        with service:
+            scores = service.run([EvalTask(weights=w, kind="logits") for w in weights])
+        model = gcn_pool.make_model()
+        for w, got in zip(weights, scores):
+            expected = score_candidate(
+                model, tiny_graph, mix_candidate(flats, params, w), "val", None, "logits"
+            )
+            assert np.array_equal(got, expected)
+
+    def test_serve_role_uses_arrays(self, no_segments, gcn_pool, tiny_graph):
+        state = soup("us", gcn_pool, tiny_graph).state_dict
+        model = gcn_pool.make_model()
+        model.load_state_dict(state)
+        ref = evaluate_logits(model, tiny_graph)
+        config = ServeConfig(backend="pipe", num_workers=1, cache_nodes=0, max_wait_s=0.001)
+        with PredictionServer(gcn_pool.model_config, tiny_graph, [state], config=config) as srv:
+            with pytest.warns(RuntimeWarning, match="shared-memory"):
+                srv.start()
+            with ServeClient(*srv.address) as client:
+                ids = list(range(0, 40))
+                assert np.array_equal(client.predict(ids), ref[ids])

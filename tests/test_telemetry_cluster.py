@@ -201,7 +201,7 @@ class TestWorkerIdentityOnFailure:
         must re-raise on the driver with the worker's identity: transport
         label and role."""
         from repro.distributed.eval_service import EvalTask, stack_flat_states
-        from repro.distributed.ingredients import _graph_to_payload
+        from repro.distributed.shm import _graph_to_payload
 
         flats, params = stack_flat_states(gcn_pool.states)
         context = {
