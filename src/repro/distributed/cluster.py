@@ -278,7 +278,16 @@ _ROLES: dict[str, tuple[str, str]] = {
 
 def register_role(name: str, module: str, attribute: str) -> None:
     """Register a custom worker role under ``name`` (module must be
-    importable on every machine that runs a worker)."""
+    importable on every machine that runs a worker).
+
+    The registry is per process and the role's name is all that reaches a
+    worker, so a registration reaches only workers that inherit this
+    process's memory through ``fork``. A worker started with ``spawn``
+    (``MP_START_METHOD=spawn``, or the default on macOS and Windows) or
+    by ``python -m repro cluster start-worker`` knows only the built-in
+    roles: its :func:`resolve_role` fails, so a pipe worker dies at start
+    and a tcp handshake fails.
+    """
     _ROLES[name] = (module, attribute)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from ..graph.graph import Graph
 from ..models import build_model
 from ..telemetry import metrics
-from ..train import accuracy, evaluate_logits
+from ..train import accuracy, evaluate_logits, evaluate_rows
 from .cluster import WorkerLossError, WorkerRole, open_service
 from . import wire
 from .scheduler import _validate_num_workers
@@ -285,26 +285,30 @@ def score_candidate(
 
     ``kind="acc"`` returns the accuracy at ``indices`` (or the named
     ``split``); ``kind="logits"`` returns the logits there — the full
-    logits matrix when neither is given. The model is owned by the
-    evaluator, so no caller-visible state is mutated.
+    logits matrix when neither is given. A node selection is scored on
+    its layered blocks (:func:`~repro.train.evaluate_rows`), which compute
+    only the rows the selection depends on and give the full pass's bits.
+    The model is owned by the evaluator, so no caller-visible state is
+    mutated.
     """
     if kind not in EVAL_KINDS:
         raise ValueError(f"unknown eval kind {kind!r}; choose from {EVAL_KINDS}")
-    model.load_state_dict(state)
-    logits = evaluate_logits(model, graph)
     if indices is not None:
         idx = np.asarray(indices)
     elif split is not None:
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}; choose from {SPLITS}")
         idx = {"train": graph.train_idx, "val": graph.val_idx, "test": graph.test_idx}[split]
+    elif kind == "logits":
+        model.load_state_dict(state)
+        return evaluate_logits(model, graph)
     else:
-        idx = None
-    if kind == "logits":
-        return logits if idx is None else logits[idx]
-    if idx is None:
         raise ValueError("accuracy scoring needs a split or an indices array")
-    return accuracy(logits[idx], graph.labels[idx])
+    model.load_state_dict(state)
+    logits = evaluate_rows(model, graph, idx)
+    if kind == "logits":
+        return logits
+    return accuracy(logits, graph.labels[idx])
 
 
 # ---------------------------------------------------------------------------

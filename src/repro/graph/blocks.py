@@ -1,0 +1,194 @@
+"""Layered blocks: a forward pass that computes only the rows a loss reads.
+
+Every souping method scores a handful of rows — the validation split,
+a holdout slice, the test split — yet a full-graph forward computes all
+``n`` rows at every layer. For an ``L``-layer message-passing model the
+logits at a row set ``R`` depend only on ``R``'s ``L``-hop field, and the
+rows each layer must produce shrink towards ``R`` layer by layer:
+
+* the last layer produces ``R`` from ``R`` and its 1-hop neighbours,
+* the layer before produces that set from *its* 1-hop neighbours, ...
+
+:meth:`Graph.blocks` builds that layering once per row set. Each
+:class:`Block` holds a layer's destination ids (the rows it outputs) and
+source ids (the rows it reads), both as sorted global ids, plus the
+positions of the destinations within the sources. Its operators are the
+graph's cached global ``mean``/``gcn``/``sum`` operators and self-looped
+attention structure, row-sliced to the destinations and column-remapped
+to the sources. The remap is monotone, so every row keeps its
+neighbours in their global order, and the operator values are the
+global ones, so degrees (including GCN's source-degree norm) are exact:
+there is no induced-subgraph degree truncation.
+
+The models run a block exactly like a graph: conv ``i`` reads
+``graph.layer(i)`` and takes its self/destination term through
+``dst_rows(x)``. A full :class:`Graph` is the trivial block (``layer(i)``
+is the graph, ``dst_rows`` the identity), so there is one forward path.
+
+Contract: every per-row computation of a forward — the SpMM rows, the
+GEMM rows, the per-destination attention softmax, the elementwise
+activations — depends only on that row's inputs, so the logits at ``R``
+are bit-identical to the full pass. Gradients into shared parameters
+(e.g. the LS alphas) match only to float rounding, because the
+weight-gradient GEMM ``x^T g`` sums over fewer rows (the full pass adds
+rows whose gradient is exactly zero).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import scipy.sparse as sp
+
+from ..tensor import Tensor
+from ..tensor.sparse import SparseAdj
+from .csr import CSR, MessageStructure, row_slice_index
+
+__all__ = ["BLOCK_CACHE_SIZE", "Block", "Blocks", "blocks_key", "build_blocks"]
+
+#: Row sets whose blocks a graph keeps (least recently used dropped first):
+#: a souping call reads a few fixed sets (validation, holdout, test).
+BLOCK_CACHE_SIZE = 8
+
+
+def blocks_key(rows: np.ndarray, hops: int) -> bytes:
+    """Cache key of the blocks for sorted unique ``rows`` and ``hops``."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(int(hops)).encode())
+    digest.update(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
+    return digest.digest()
+
+
+class Block:
+    """One message-passing layer restricted to the rows it must output.
+
+    Attributes
+    ----------
+    dst : int64 ``[n_dst]`` — sorted global ids of the rows this layer outputs.
+    src : int64 ``[n_src]`` — sorted global ids of the rows it reads (``dst ⊆ src``).
+    dst_pos : int64 ``[n_dst]`` — positions of ``dst`` within ``src``.
+    """
+
+    __slots__ = ("graph", "dst", "src", "dst_pos", "_operators")
+
+    def __init__(self, graph, dst: np.ndarray, src: np.ndarray) -> None:
+        self.graph = graph
+        self.dst = dst
+        self.src = src
+        self.dst_pos = np.searchsorted(src, dst)
+        self._operators: dict = {}
+
+    def _slice(self, indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(flat, indptr, indices)`` of the ``dst`` rows with columns
+        remapped to positions in ``src`` (order within rows kept)."""
+        flat, degs = row_slice_index(indptr, self.dst)
+        cols = indices[flat]
+        local = np.searchsorted(self.src, cols)
+        if len(cols) and not np.array_equal(self.src[np.minimum(local, len(self.src) - 1)], cols):
+            raise ValueError("block sources do not cover the destination rows' neighbours")
+        sub_indptr = np.zeros(len(self.dst) + 1, dtype=np.int64)
+        np.cumsum(degs, out=sub_indptr[1:])
+        return flat, sub_indptr, local.astype(np.int64)
+
+    def operator(self, kind: str) -> SparseAdj:
+        """The graph's ``kind`` operator, sliced to ``[dst, src]`` (cached)."""
+        if kind not in self._operators:
+            full = self.graph.operator(kind).csr
+            flat, indptr, indices = self._slice(full.indptr, full.indices)
+            mat = sp.csr_matrix(
+                (full.data[flat], indices, indptr), shape=(len(self.dst), len(self.src))
+            )
+            self._operators[kind] = SparseAdj(mat)
+        return self._operators[kind]
+
+    def attention_structure(self) -> MessageStructure:
+        """The graph's self-looped attention structure, sliced to ``[dst, src]``."""
+        key = "_attn_structure"
+        if key not in self._operators:
+            full = self.graph.attention_structure()
+            _, indptr, indices = self._slice(full.indptr, full.indices)
+            self._operators[key] = MessageStructure(
+                CSR(indptr, indices, len(self.dst)), num_src=len(self.src)
+            )
+        return self._operators[key]
+
+    def dst_rows(self, x: Tensor) -> Tensor:
+        """The destination rows of a source-aligned tensor (differentiable)."""
+        pos = self.dst_pos
+        a = x.data
+
+        def vjp(g):
+            ga = np.zeros_like(a)
+            ga[pos] = g  # positions are unique: assignment is the exact adjoint
+            return (ga,)
+
+        return Tensor._make(a[pos], (x,), vjp)
+
+    def __repr__(self) -> str:
+        return f"Block(dst={len(self.dst)}, src={len(self.src)})"
+
+
+class Blocks:
+    """The layered blocks of one row set: what a model forward runs on.
+
+    ``layer(i)`` is conv ``i``'s :class:`Block` (layer 0 reads the widest
+    field); ``features`` are the input rows of layer 0; the forward's
+    output rows are ``rows``. :meth:`positions` maps requested node ids to
+    output rows.
+    """
+
+    __slots__ = ("graph", "rows", "layers", "_features")
+
+    def __init__(self, graph, rows: np.ndarray, layers: tuple[Block, ...]) -> None:
+        self.graph = graph
+        self.rows = rows
+        self.layers = layers
+        self._features: np.ndarray | None = None
+
+    @property
+    def input_rows(self) -> np.ndarray:
+        """Global ids of the rows the forward reads features from."""
+        return self.layers[0].src if self.layers else self.rows
+
+    @property
+    def features(self) -> np.ndarray:
+        """Feature rows of :attr:`input_rows` (gathered once)."""
+        if self._features is None:
+            self._features = np.ascontiguousarray(self.graph.features[self.input_rows])
+        return self._features
+
+    def layer(self, i: int) -> Block:
+        """Conv ``i``'s block."""
+        return self.layers[i]
+
+    def positions(self, nodes: np.ndarray) -> np.ndarray:
+        """Output-row positions of global node ids (all must be in ``rows``)."""
+        return np.searchsorted(self.rows, np.asarray(nodes, dtype=np.int64))
+
+    def __repr__(self) -> str:
+        widths = "/".join(str(len(b.src)) for b in self.layers)
+        return f"Blocks(rows={len(self.rows)}, src per layer={widths or '-'})"
+
+
+def build_blocks(graph, rows, hops: int) -> Blocks:
+    """Layered blocks producing the rows ``rows`` after ``hops`` layers.
+
+    ``rows`` must be sorted and unique (``np.unique``); the blocks output
+    exactly those rows.
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
+    rows = np.asarray(rows, dtype=np.int64)
+    n = graph.num_nodes
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+        raise IndexError(f"rows outside [0, {n})")
+    csr = graph.csr
+    layers: list[Block] = []
+    dst = rows
+    for _ in range(hops):
+        flat, _degs = row_slice_index(csr.indptr, dst)
+        src = np.union1d(dst, csr.indices[flat])
+        layers.append(Block(graph, dst, src))
+        dst = src
+    return Blocks(graph, rows, tuple(reversed(layers)))

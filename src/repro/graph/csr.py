@@ -206,6 +206,9 @@ class MessageStructure:
 
     Duck-compatible with :class:`CSR` for the read-only attributes the
     models use (``indptr``, ``indices``, ``num_nodes``, ``num_edges``).
+    Rows are destinations; ``num_src`` (default ``num_nodes``) counts the
+    source rows, which differ in a layered block
+    (:mod:`repro.graph.blocks`).
 
     Attributes
     ----------
@@ -215,12 +218,13 @@ class MessageStructure:
         (``segment_ids_from_indptr(indptr)``, materialised once).
     """
 
-    __slots__ = ("indptr", "indices", "num_nodes", "dst_ids", "_transpose")
+    __slots__ = ("indptr", "indices", "num_nodes", "num_src", "dst_ids", "_transpose")
 
-    def __init__(self, csr: CSR) -> None:
+    def __init__(self, csr: CSR, num_src: int | None = None) -> None:
         self.indptr = csr.indptr
         self.indices = csr.indices
         self.num_nodes = csr.num_nodes
+        self.num_src = csr.num_nodes if num_src is None else int(num_src)
         self.dst_ids = np.repeat(
             np.arange(csr.num_nodes, dtype=np.int64), np.diff(csr.indptr)
         )
@@ -246,7 +250,7 @@ class MessageStructure:
         """
         if self._transpose is None:
             perm = np.argsort(self.indices, kind="stable")
-            counts = np.bincount(self.indices, minlength=self.num_nodes)
+            counts = np.bincount(self.indices, minlength=self.num_src)
             t_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
             self._transpose = (perm, t_indptr, self.dst_ids[perm])
         return self._transpose

@@ -8,12 +8,21 @@ like DGL caches its normalised adjacency.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from ..tensor.sparse import SparseAdj
+from . import blocks as _blocks
 from .csr import CSR, MessageStructure
 
 __all__ = ["Graph"]
+
+#: Guards every graph's block cache: concurrent souping methods (the
+#: experiment runner's thread fan-out) share one graph. Module-level so
+#: graphs stay picklable.
+_BLOCK_LOCK = threading.Lock()
 
 
 class Graph:
@@ -31,6 +40,7 @@ class Graph:
         "num_classes",
         "name",
         "_operators",
+        "_block_cache",
     )
 
     def __init__(
@@ -53,6 +63,7 @@ class Graph:
         self.num_classes = int(num_classes)
         self.name = name
         self._operators: dict[str, SparseAdj] = {}
+        self._block_cache: "OrderedDict[bytes, _blocks.Blocks]" = OrderedDict()
         self.validate()
 
     # -- invariants --------------------------------------------------------
@@ -164,6 +175,37 @@ class Graph:
         if key not in self._operators:
             self._operators[key] = MessageStructure(self.csr.with_self_loops())  # type: ignore[assignment]
         return self._operators[key]  # type: ignore[return-value]
+
+    # -- layered blocks ----------------------------------------------------------
+
+    def blocks(self, rows: np.ndarray, hops: int) -> "_blocks.Blocks":
+        """Layered blocks computing only ``rows`` through ``hops`` layers.
+
+        See :mod:`repro.graph.blocks`. Cached per ``(rows, hops)`` like the
+        operators, keeping the :data:`~repro.graph.blocks.BLOCK_CACHE_SIZE`
+        most recently used row sets; ``rows`` may be unsorted or repeat
+        ids (the blocks output the sorted unique set).
+        """
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        key = _blocks.blocks_key(rows, hops)
+        cache = self._block_cache
+        with _BLOCK_LOCK:
+            blocks = cache.get(key)
+            if blocks is None:
+                blocks = cache[key] = _blocks.build_blocks(self, rows, hops)
+                while len(cache) > _blocks.BLOCK_CACHE_SIZE:
+                    cache.popitem(last=False)
+            else:
+                cache.move_to_end(key)
+        return blocks
+
+    def layer(self, i: int) -> "Graph":
+        """Conv ``i``'s view: the whole graph (the trivial block)."""
+        return self
+
+    def dst_rows(self, x):
+        """Destination rows of a node-aligned tensor: all of them."""
+        return x
 
     # -- persistence ---------------------------------------------------------------
 

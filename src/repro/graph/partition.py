@@ -34,6 +34,13 @@ from .graph import Graph
 
 __all__ = ["PartitionResult", "partition_graph", "val_balanced_weights", "edge_cut"]
 
+#: Largest graph a bisection densifies: the dense eigensolver and greedy
+#: region growing run up to this size, sparse methods beyond it.
+DENSE_MAX = 2048
+
+#: Moves an FM pass may make past its best cut before it stops climbing.
+FM_PATIENCE = 64
+
 
 @dataclass(frozen=True)
 class PartitionResult:
@@ -304,7 +311,7 @@ def _multilevel_bisect(
     spectral = _spectral_bisect(cur_adj, cur_w, target_left, rng)
     if spectral is not None:
         candidates.append(spectral)
-    if cur_adj.shape[0] <= 2048:
+    if cur_adj.shape[0] <= DENSE_MAX:
         candidates.append(_greedy_grow_bisect(cur_adj, cur_w, target_left, rng))
     if not candidates:
         candidates.append(_bfs_sweep_bisect(cur_adj, cur_w, target_left, rng))
@@ -360,24 +367,31 @@ def _spectral_bisect(
     """Fiedler-vector bisection of the coarsest graph (optional seed cut).
 
     Sorts nodes by the second-smallest Laplacian eigenvector and sweeps the
-    weight-balanced threshold. Returns ``None`` when the eigensolver fails
-    (tiny or disconnected coarse graphs), in which case greedy growing is
-    used instead.
+    weight-balanced threshold. Graphs of at most :data:`DENSE_MAX` nodes —
+    the coarsest graph of every multilevel bisection, including those
+    where matching stalled above ``coarsen_to`` — use the dense symmetric
+    eigensolver, which is deterministic: ARPACK's shift-invert ``eigsh``
+    returned different cuts from identical coarse Laplacians across calls.
+    Returns ``None`` when the eigensolver fails, in which case greedy
+    growing is used instead.
     """
     n = adj.shape[0]
     if n < 4:
         return None
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    laplacian = sp.diags(deg) - adj
     try:
-        deg = np.asarray(adj.sum(axis=1)).ravel()
-        laplacian = sp.diags(deg) - adj
-        # shift-invert around 0 finds the smallest eigenpairs quickly.
-        # v0 MUST be pinned to the partitioner's generator: without it
-        # ARPACK draws its starting vector from numpy's *global* RandomState,
-        # making the whole partition (and everything downstream, e.g. PLS)
-        # nondeterministic across calls even with a fixed seed.
-        v0 = rng.standard_normal(n)
-        _, vectors = sp.linalg.eigsh(laplacian.tocsc(), k=2, sigma=-1e-6, which="LM", v0=v0)
-    except Exception:
+        if n <= DENSE_MAX:
+            _, vectors = np.linalg.eigh(laplacian.toarray())
+        else:
+            # shift-invert around 0 finds the smallest eigenpairs quickly.
+            # v0 MUST be pinned to the partitioner's generator: without it
+            # ARPACK draws its starting vector from numpy's *global*
+            # RandomState.
+            v0 = rng.standard_normal(n)
+            _, vectors = sp.linalg.eigsh(laplacian.tocsc(), k=2, sigma=-1e-6, which="LM", v0=v0)
+    except (RuntimeError, np.linalg.LinAlgError):
+        # ARPACK's errors and SuperLU's singular-factor error are RuntimeErrors
         return None
     fiedler = vectors[:, 1]
     order = np.argsort(fiedler)
@@ -517,8 +531,8 @@ def _fm_refine(
             if cut < best_cut - 1e-12:
                 best_cut, best_at = cut, move_idx
                 improved = True
-            if len(trail) >= max_moves:
-                break
+            elif move_idx - best_at >= FM_PATIENCE:
+                break  # the hill climb found nothing better in a while
 
         # roll back to the best prefix of the move trail
         for v in trail[best_at:]:

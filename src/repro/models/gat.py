@@ -62,17 +62,21 @@ class GATConv(Module):
         self.attn_drop = Dropout(attn_dropout)
 
     def forward(self, graph: Graph, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        """Multi-head attention convolution over the self-looped graph."""
+        """Multi-head attention convolution over the self-looped graph.
+
+        On a :class:`~repro.graph.blocks.Block`, ``x`` holds the source
+        rows and the output the destination rows.
+        """
         structure = graph.attention_structure()  # self-looped edge structure
         n, h_heads, f = structure.num_nodes, self.num_heads, self.out_features
         src_ids = structure.indices
         indptr = structure.indptr
         dst_ids = structure.dst_ids
 
-        h = self.linear(x).reshape(n, h_heads, f)
+        h = self.linear(x).reshape(structure.num_src, h_heads, f)
         # per-node attention halves: s_src[j] = a_src . h_j, s_dst[i] = a_dst . h_i
-        score_src = (h * self.attn_src).sum(axis=-1)  # [n, H]
-        score_dst = (h * self.attn_dst).sum(axis=-1)  # [n, H]
+        score_src = (h * self.attn_src).sum(axis=-1)  # [n_src, H]
+        score_dst = graph.dst_rows((h * self.attn_dst).sum(axis=-1))  # [n, H]
         edge_logits = edge_attention_logits(
             score_src, score_dst, src_ids, dst_ids, indptr, self.negative_slope
         )
@@ -128,12 +132,17 @@ class GAT(Module):
         self.convs = ModuleList(convs)
         self.dropout = Dropout(dropout)
 
+    @property
+    def num_hops(self) -> int:
+        """Neighbourhood radius a row's logits depend on."""
+        return self.num_layers
+
     def forward(self, graph: Graph, x: Tensor | None = None, rng: np.random.Generator | None = None) -> Tensor:
-        """Full-graph logits of shape ``[n, out_dim]``."""
+        """Logits ``[n, out_dim]`` of a graph, or of a row set's layered blocks."""
         h = x if x is not None else Tensor(graph.features)
         for i, conv in enumerate(self.convs):
             h = self.dropout(h, rng)
-            h = conv(graph, h, rng)
+            h = conv(graph.layer(i), h, rng)
             if i < self.num_layers - 1:
                 h = h.elu()
         return h

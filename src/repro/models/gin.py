@@ -34,7 +34,7 @@ class GINConv(Module):
     def forward(self, graph: Graph, x: Tensor) -> Tensor:
         """``MLP((1 + eps) * x + A x)`` with sum aggregation."""
         agg = spmm(graph.operator("sum"), x)
-        h = scale_add(x, self.eps, agg)  # (1 + eps) * x + agg, one tape node
+        h = scale_add(graph.dst_rows(x), self.eps, agg)  # (1 + eps) * x + agg, one tape node
         return self.fc2(self.fc1(h).relu())
 
 
@@ -61,12 +61,17 @@ class GIN(Module):
         self.dropout = Dropout(dropout)
         self.num_layers = num_layers
 
+    @property
+    def num_hops(self) -> int:
+        """Neighbourhood radius a row's logits depend on."""
+        return self.num_layers
+
     def forward(self, graph: Graph, x: Tensor | None = None, rng: np.random.Generator | None = None) -> Tensor:
-        """Full-graph logits of shape ``[n, out_dim]``."""
+        """Logits ``[n, out_dim]`` of a graph, or of a row set's layered blocks."""
         h = x if x is not None else Tensor(graph.features)
         for i, conv in enumerate(self.convs):
             h = self.dropout(h, rng)
-            h = conv(graph, h)
+            h = conv(graph.layer(i), h)
             if i < self.num_layers - 1:
                 h = h.relu()
         return h

@@ -39,8 +39,12 @@ class MLP(Module):
         self.dropout = Dropout(dropout)
         self.num_layers = num_layers
 
+    #: Rows depend on their own features only: a row set's blocks are the rows.
+    num_hops = 0
+
     def forward(self, graph: Graph, x: Tensor | None = None, rng: np.random.Generator | None = None) -> Tensor:
-        """Structure-blind logits from node features alone."""
+        """Structure-blind logits from node features alone (of a graph's
+        rows, or of a row set's blocks)."""
         h = x if x is not None else Tensor(graph.features)
         for i, layer in enumerate(self.layers):
             h = self.dropout(h, rng)

@@ -25,9 +25,14 @@ class SAGEConv(Module):
         self.neigh_linear = Linear(in_features, out_features, rng, bias=False)
 
     def forward(self, graph: Graph, x: Tensor) -> Tensor:
-        """Separate self and mean-neighbour transforms, summed."""
+        """Separate self and mean-neighbour transforms, summed.
+
+        ``graph`` is a :class:`Graph` or one layer's
+        :class:`~repro.graph.blocks.Block`: ``x`` holds its source rows and
+        the output its destination rows.
+        """
         neigh = spmm(graph.operator("mean"), x)
-        return self.self_linear(x) + self.neigh_linear(neigh)
+        return self.self_linear(graph.dst_rows(x)) + self.neigh_linear(neigh)
 
 
 class GraphSAGE(Module):
@@ -53,12 +58,17 @@ class GraphSAGE(Module):
         self.dropout = Dropout(dropout)
         self.num_layers = num_layers
 
+    @property
+    def num_hops(self) -> int:
+        """Neighbourhood radius a row's logits depend on."""
+        return self.num_layers
+
     def forward(self, graph: Graph, x: Tensor | None = None, rng: np.random.Generator | None = None) -> Tensor:
-        """Full-graph logits of shape ``[n, out_dim]``."""
+        """Logits ``[n, out_dim]`` of a graph, or of a row set's layered blocks."""
         h = x if x is not None else Tensor(graph.features)
         for i, conv in enumerate(self.convs):
             h = self.dropout(h, rng)
-            h = conv(graph, h)
+            h = conv(graph.layer(i), h)
             if i < self.num_layers - 1:
                 h = h.relu()
         return h

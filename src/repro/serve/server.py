@@ -409,8 +409,10 @@ class PredictionServer:
     def _handle_event(self, event) -> None:
         kind = event[0]
         if kind == "gone":
+            conn = event[1]
             with self._conns_lock:
-                self._conns.discard(event[1])
+                self._conns.discard(conn)
+            conn.sock.close()  # its reader has exited; replies skip dead conns
             return
         if kind == "wake":
             return

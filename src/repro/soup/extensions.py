@@ -118,7 +118,10 @@ def ingredient_dropout_soup(
             alphas = build_alpha(n, len(group_names), cfg, rng)
             optimizer = SGD([alphas], lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
             scheduler = CosineAnnealingLR(optimizer, t_max=cfg.epochs) if cfg.cosine else ConstantLR(optimizer)
-            features = Tensor(graph.features)
+            # the loss reads the alpha-train rows only: run on their blocks
+            blocks = graph.blocks(alpha_train_idx, model.num_hops)
+            train_pos = blocks.positions(alpha_train_idx)
+            features = Tensor(blocks.features)
 
             epoch_alphas: list[np.ndarray] = []
             for _epoch in range(cfg.epochs):
@@ -137,8 +140,8 @@ def ingredient_dropout_soup(
                     weights = alpha_weights(masked, cfg)
                 soup_params = combine_with_alphas(weights, stacks, group_of)
                 with functional_params(model, soup_params):
-                    logits = model(graph, features)
-                loss = cross_entropy(logits[alpha_train_idx], graph.labels[alpha_train_idx])
+                    logits = model(blocks, features)
+                loss = cross_entropy(logits[train_pos], graph.labels[alpha_train_idx])
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()

@@ -21,7 +21,11 @@ descent on the alphas (Eq. 4). Paper recipe, followed exactly:
   the best epoch.
 
 Cost per epoch: one forward + one backward on the validation slice —
-``O(e (F_v + B_v))`` (§III-E) versus GIS's ``O(N g F_v)``.
+``O(e (F_v + B_v))`` (§III-E) versus GIS's ``O(N g F_v)``. The descent
+runs on the validation rows' layered blocks (:meth:`Graph.blocks`), so
+each layer computes only the rows the validation logits depend on; the
+logits are the full pass's bits, the alpha gradients match it to float
+rounding (the weight-gradient GEMMs sum over fewer all-zero rows).
 """
 
 from __future__ import annotations
@@ -188,12 +192,17 @@ def _alpha_descent(
     alpha_train_idx, holdout_idx = split_validation(graph, cfg.holdout_fraction, rng)
     train_labels = graph.labels[alpha_train_idx]
     holdout_labels = graph.labels[holdout_idx]
+    # the loss and the holdout read validation rows only: run the descent
+    # on their layered blocks (§III-E's O(e (F_v + B_v)) epoch)
+    blocks = graph.blocks(graph.val_idx, model.num_hops)
+    train_pos = blocks.positions(alpha_train_idx)
+    holdout_pos = blocks.positions(holdout_idx)
 
     history: list[tuple[int, float, float]] = []
     alphas = build_alpha(n_ingredients, n_groups, cfg, rng)
     optimizer = SGD([alphas], lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     scheduler = CosineAnnealingLR(optimizer, t_max=cfg.epochs) if cfg.cosine else ConstantLR(optimizer)
-    features = Tensor(graph.features)
+    features = Tensor(blocks.features)
 
     best_holdout, best_alpha = -1.0, alphas.data.copy()
     patience_left = cfg.early_stopping if cfg.early_stopping else None
@@ -202,23 +211,23 @@ def _alpha_descent(
         weights = alpha_weights(alphas, cfg)
         soup_params = combine_with_alphas(weights, stacks, group_of)
         with functional_params(model, soup_params):
-            logits = model(graph, features)
+            logits = model(blocks, features)
         if batched:
             # §VI-A: "techniques like minibatching to stabilize training" —
             # each alpha step scores a fresh random subset of the
             # validation nodes, trading gradient noise for robustness to
             # the hyperparameter sensitivity the paper reports.
             batch = rng.choice(alpha_train_idx, size=cfg.val_batch_size, replace=False)
-            loss = cross_entropy(logits[batch], graph.labels[batch])
+            loss = cross_entropy(logits[blocks.positions(batch)], graph.labels[batch])
         else:
-            loss = cross_entropy(logits[alpha_train_idx], train_labels)
+            loss = cross_entropy(logits[train_pos], train_labels)
         if cfg.alpha_entropy_coef:
             loss = loss + entropy_penalty(weights) * cfg.alpha_entropy_coef
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()
         scheduler.step()
-        holdout_acc = accuracy(logits.data[holdout_idx], holdout_labels)
+        holdout_acc = accuracy(logits.data[holdout_pos], holdout_labels)
         history.append((epoch, float(loss.data), holdout_acc))
         if cfg.select_best and holdout_acc > best_holdout:
             best_holdout, best_alpha = holdout_acc, alphas.data.copy()

@@ -12,7 +12,10 @@ nodes** (§III-C). Then each alpha-descent epoch:
 3. run the LS step (build soup via Eq. 3, validation loss on the
    subgraph's validation nodes, backprop into the alphas — Eq. 6).
 
-Memory then scales with roughly R/K of the graph (§VI-B), while the
+The step runs on the layered blocks of the subgraph's validation rows
+(:mod:`repro.graph.blocks`): each layer computes only the rows those
+logits depend on, within the subgraph. Memory then scales with roughly
+R/K of the graph (§VI-B), activations with the blocks only, while the
 subgraph lottery acts like minibatching and regularises the alphas — the
 mechanism the paper credits for PLS beating LS on several cells of
 Table II. With R = 1 no cut edge can appear and only K distinct subgraphs
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..distributed.ingredients import IngredientPool
+from ..graph import blocks as graph_blocks
 from ..graph.graph import Graph
 from ..graph.partition import PartitionResult, partition_graph
 from ..graph.sampling import num_possible_subgraphs, partition_union_subgraph, select_partitions
@@ -128,12 +132,15 @@ def _pls_descent(
             # composes with partition sampling: cap the per-epoch alpha
             # objective at val_batch_size nodes (§VI-A minibatching)
             sub_train = rng.choice(sub_train, size=cfg.val_batch_size, replace=False)
+        # the loss and the holdout read the subgraph's validation rows only;
+        # built uncached: the subgraph is dropped after this epoch
+        blocks = graph_blocks.build_blocks(sub, sub.val_idx, model.num_hops)
         with probe.meter.transient(sub.nbytes):
             weights = alpha_weights(alphas, cfg)
             soup_params = combine_with_alphas(weights, stacks, group_of)
             with functional_params(model, soup_params):
-                logits = model(sub, Tensor(sub.features))
-            loss = cross_entropy(logits[sub_train], sub.labels[sub_train])
+                logits = model(blocks, Tensor(blocks.features))
+            loss = cross_entropy(logits[blocks.positions(sub_train)], sub.labels[sub_train])
             if cfg.alpha_entropy_coef:
                 loss = loss + entropy_penalty(weights) * cfg.alpha_entropy_coef
             optimizer.zero_grad()
@@ -141,7 +148,9 @@ def _pls_descent(
             optimizer.step()
             scheduler.step()
             holdout_acc = (
-                accuracy(logits.data[sub_holdout], sub.labels[sub_holdout]) if len(sub_holdout) else -1.0
+                accuracy(logits.data[blocks.positions(sub_holdout)], sub.labels[sub_holdout])
+                if len(sub_holdout)
+                else -1.0
             )
         history.append((epoch, float(loss.data), holdout_acc))
         if cfg.select_best and holdout_acc > best_holdout:
@@ -153,7 +162,7 @@ def _pls_descent(
             if patience_left <= 0:
                 break
         # free the epoch subgraph before the next draw
-        del logits, loss, soup_params, sub
+        del logits, loss, soup_params, sub, blocks
     if not cfg.select_best or best_holdout < 0:
         best_alpha = alphas.data.copy()
     return best_alpha, history, skipped_epochs

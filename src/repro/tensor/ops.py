@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _unbroadcast, rowwise_matmul
 
 __all__ = ["weighted_combine", "dropout", "linear", "scale_add", "sparsemax", "np_sparsemax"]
 
@@ -72,7 +72,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     single autograd node (one fewer tape entry and intermediate per layer)
     with VJPs ``d_x = g @ W^T``, ``d_W = x^T @ g``, ``d_b = Σ_rows g`` —
     bit-identical values and gradients to the unfused ``x @ W + b``
-    composition, which remains the fallback for higher-rank inputs.
+    composition, which remains the fallback for higher-rank inputs. Both
+    multiply through :func:`~repro.tensor.tensor.rowwise_matmul`, so a
+    row's output does not depend on how many rows the call has.
     """
     if x.ndim != 2 or weight.ndim != 2:
         out = x @ weight
@@ -80,7 +82,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             out = out + bias
         return out
     a, w = x.data, weight.data
-    out_data = a @ w
+    out_data = rowwise_matmul(a, w)
     if bias is None:
 
         def vjp(g):

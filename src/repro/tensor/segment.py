@@ -6,11 +6,11 @@ incoming edges". When edges are stored in CSR order (all edges of
 destination 0, then destination 1, ...) every segment is a contiguous run
 delimited by ``indptr`` and the reductions vectorise:
 
-* ``segment_sum`` uses the exclusive-cumsum trick ``cs[end] - cs[start]``,
-  which — unlike ``np.add.reduceat`` — is exact for empty segments;
-* ``segment_max`` uses ``np.maximum.reduceat`` with clipped offsets; empty
-  segments produce garbage values that are provably never read because the
-  result is only consumed gathered back per-edge;
+* ``segment_sum`` and ``segment_max`` run ``np.add.reduceat`` /
+  ``np.maximum.reduceat`` over the non-empty segments only (reduceat
+  mishandles empty ones); each segment's value depends only on its own
+  edges, so a layered block that keeps a destination's edges reproduces
+  that destination's sum bit for bit;
 * ``segment_softmax`` fuses max-shift / exp / normalise with an analytic
   backward, the core of the GAT attention layer.
 
@@ -56,15 +56,18 @@ def segment_ids_from_indptr(indptr: np.ndarray) -> np.ndarray:
 def np_segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum contiguous segments of ``values`` delimited by ``indptr``.
 
-    Exact for empty segments (they sum to zero). Works on ``[E]`` and
-    ``[E, ...]`` arrays, reducing over axis 0.
+    Empty segments sum to exactly zero. Works on ``[E]`` and ``[E, ...]``
+    arrays, reducing over axis 0. A segment's sum reads only its own
+    edges (no running prefix across segments), so it does not depend on
+    which other segments are present.
     """
-    if values.shape[0] == 0:
-        out_shape = (len(indptr) - 1,) + values.shape[1:]
-        return np.zeros(out_shape, dtype=values.dtype)
-    zero = np.zeros((1,) + values.shape[1:], dtype=values.dtype)
-    cs = np.concatenate([zero, np.cumsum(values, axis=0)], axis=0)
-    return cs[indptr[1:]] - cs[indptr[:-1]]
+    counts = np.diff(indptr)
+    out = np.zeros((len(counts),) + values.shape[1:], dtype=values.dtype)
+    nonempty = counts > 0
+    if values.shape[0] == 0 or not nonempty.any():
+        return out
+    out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=0)
+    return out
 
 
 def np_gather_mul_segment_sum(
@@ -373,7 +376,7 @@ def edge_attention_logits(
         g_src = np.zeros(src_shape, dtype=ge.dtype)
         np.add.at(g_src, src_ids, ge)
         # dst_ids are the sorted segment ids, so the scatter collapses to
-        # the exact (cumsum-trick) segment sum
+        # the per-segment sum
         g_dst = np_segment_sum(ge, indptr)
         return g_src, g_dst
 

@@ -162,6 +162,35 @@ def _coerce(other) -> "Tensor":
     return Tensor(_as_array(other), requires_grad=False)
 
 
+#: Output widths the forward GEMM is padded to a multiple of (see
+#: :func:`rowwise_matmul`).
+GEMM_WIDTH_MULTIPLE = 8
+
+
+def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2-D ``a @ b`` whose every output row depends only on its own input row.
+
+    A layered block (:mod:`repro.graph.blocks`) multiplies a few hundred
+    rows where the full pass multiplies thousands, and its logits are
+    bit-identical only if a row of the product comes out the same at any
+    row count. OpenBLAS (measured on its SkylakeX kernels) keeps that for
+    output widths that are multiples of 8 and for two or more rows; other
+    widths take tail paths whose rounding depends on the row count, and a
+    single row goes through GEMV. So ``b`` gets zero columns up to a
+    multiple of :data:`GEMM_WIDTH_MULTIPLE` and a one-row ``a`` a zero
+    row; the padding is sliced off the result.
+    """
+    m, n = a.shape[0], b.shape[1]
+    pad = (-n) % GEMM_WIDTH_MULTIPLE
+    if not pad and m != 1:
+        return a @ b
+    if pad:
+        b = np.concatenate([b, np.zeros((b.shape[0], pad), dtype=b.dtype)], axis=1)
+    if m == 1:
+        a = np.concatenate([a, np.zeros_like(a)])
+    return np.ascontiguousarray((a @ b)[:m, :n])
+
+
 # ---------------------------------------------------------------------------
 # Tensor
 # ---------------------------------------------------------------------------
@@ -393,7 +422,7 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = _coerce(other)
         a, b = self.data, other.data
-        out_data = a @ b
+        out_data = rowwise_matmul(a, b) if a.ndim == 2 and b.ndim == 2 else a @ b
 
         def vjp(g):
             if a.ndim == 1 and b.ndim == 1:  # dot product

@@ -10,6 +10,7 @@ from .trainer import (
     evaluate,
     evaluate_blocked,
     evaluate_logits,
+    evaluate_rows,
 )
 
 __all__ = [
@@ -25,4 +26,5 @@ __all__ = [
     "evaluate",
     "evaluate_blocked",
     "evaluate_logits",
+    "evaluate_rows",
 ]

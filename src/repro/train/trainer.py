@@ -129,6 +129,18 @@ def evaluate_logits(model: Module, graph: Graph) -> np.ndarray:
     return logits.data
 
 
+def evaluate_rows(model: Module, graph: Graph, rows: np.ndarray) -> np.ndarray:
+    """Inference-mode logits at ``rows`` (in the given order).
+
+    Runs the model on the graph's cached layered blocks for ``rows``
+    (:meth:`Graph.blocks`, ``model.num_hops`` layers deep), so only the
+    rows the logits depend on are computed: bit-identical to
+    ``evaluate_logits(model, graph)[rows]``.
+    """
+    blocks = graph.blocks(rows, model.num_hops)
+    return evaluate_logits(model, blocks)[blocks.positions(rows)]
+
+
 def evaluate(model: Module, graph: Graph, idx: np.ndarray) -> float:
     """Accuracy of the model on the given node indices."""
     logits = evaluate_logits(model, graph)

@@ -1,0 +1,220 @@
+"""Layered blocks: forwards that compute only the rows a loss reads.
+
+The contract (docs/architecture.md, determinism section): logits at the
+requested rows are bit-identical to the full-graph pass for every
+architecture, so every evaluator score is unchanged; alpha gradients
+match the full pass only to float rounding. The full-graph reference
+here is the same code with `build_blocks` swapped for the trivial
+block (the whole graph), which is what every caller ran before blocks.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import repro.graph.blocks as graph_blocks
+from repro.distributed import train_ingredients
+from repro.distributed.eval_service import score_candidate
+from repro.graph import GeneratorConfig, homophilous_graph, partition_graph
+from repro.models import build_model
+from repro.soup import PLSConfig, SoupConfig, gis_soup, learned_soup, make_evaluator, partition_learned_soup
+from repro.soup.engine import Candidate
+from repro.tensor import no_grad
+from repro.train import TrainConfig, evaluate_logits, evaluate_rows
+
+ARCHS = ("sage", "gcn", "gin", "gat", "mlp")
+
+#: Sparse enough that the validation rows' 2-hop field is a strict subset
+#: of the graph; hidden width 12 and 5 classes give GEMM output widths
+#: that are not multiples of 8 (the padded path of ``rowwise_matmul``).
+SPARSE_CFG = GeneratorConfig(
+    num_nodes=600,
+    num_classes=5,
+    avg_degree=3.0,
+    homophily=0.7,
+    feature_dim=10,
+    feature_noise=1.0,
+    split=(0.5, 0.06, 0.44),
+    name="sparse",
+)
+
+
+@pytest.fixture(scope="module")
+def sparse_graph():
+    return homophilous_graph(SPARSE_CFG, seed=3)
+
+
+@pytest.fixture(scope="module")
+def sparse_pool(sparse_graph):
+    return train_ingredients(
+        "sage",
+        sparse_graph,
+        n_ingredients=3,
+        train_cfg=TrainConfig(epochs=8, lr=0.02),
+        base_seed=4,
+        hidden_dim=12,
+    )
+
+
+class _WholeGraph:
+    """The trivial block: every layer is the whole graph, rows are node ids."""
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        self.features = graph.features
+
+    def layer(self, _i):
+        return self.graph
+
+    def positions(self, nodes):
+        return np.asarray(nodes, dtype=np.int64)
+
+
+@contextlib.contextmanager
+def full_graph_reference(monkeypatch, *graphs):
+    """Swap `build_blocks` for the trivial block while the body runs."""
+    for graph in graphs:
+        graph._block_cache.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_blocks, "build_blocks", lambda graph, rows, hops: _WholeGraph(graph))
+        yield
+    for graph in graphs:
+        graph._block_cache.clear()
+
+
+class TestBlockedLogits:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_bit_identical_to_full_pass(self, sparse_graph, arch):
+        model = build_model(arch, sparse_graph.feature_dim, sparse_graph.num_classes, hidden_dim=12, num_heads=3, seed=2)
+        model.eval()
+        full = evaluate_logits(model, sparse_graph)
+        val = sparse_graph.val_idx
+        blocks = sparse_graph.blocks(val, model.num_hops)
+        n = sparse_graph.num_nodes
+        for block in blocks.layers:  # every layer computes strictly fewer rows
+            assert len(block.dst) < len(block.src) < n
+        with no_grad():
+            out = model(blocks).data
+        assert out.shape == (len(val), sparse_graph.num_classes)
+        assert np.array_equal(out[blocks.positions(val)], full[val])
+        for rows in (val[:1], val[:2], np.array([val[3], val[0], val[3]]), sparse_graph.test_idx):
+            assert np.array_equal(evaluate_rows(model, sparse_graph, rows), full[rows]), rows
+
+    def test_mlp_blocks_are_the_rows(self, sparse_graph):
+        model = build_model("mlp", sparse_graph.feature_dim, sparse_graph.num_classes, seed=0)
+        blocks = sparse_graph.blocks(sparse_graph.val_idx, model.num_hops)
+        assert blocks.layers == ()
+        assert np.array_equal(blocks.input_rows, sparse_graph.val_idx)
+
+    def test_operators_keep_global_values(self, sparse_graph):
+        """Sliced operators carry the global entries (exact degrees, GCN's
+        source-degree norm included) in each row's global order."""
+        block = sparse_graph.blocks(sparse_graph.val_idx, 2).layer(1)
+        for kind in ("mean", "gcn", "sum"):
+            full = sparse_graph.operator(kind).csr
+            sliced = block.operator(kind).csr
+            dense_full = full[block.dst][:, block.src].toarray()
+            assert np.array_equal(sliced.toarray(), dense_full)
+            assert full[block.dst].nnz == sliced.nnz  # no edge left outside the sources
+        full = sparse_graph.attention_structure()
+        structure = block.attention_structure()
+        assert structure.num_nodes == len(block.dst) and structure.num_src == len(block.src)
+        neighbours = [full.indices[full.indptr[i] : full.indptr[i + 1]] for i in block.dst]
+        assert np.array_equal(block.src[structure.indices], np.concatenate(neighbours))
+
+
+class TestBlockCache:
+    def test_reused_across_calls(self, sparse_graph, sparse_pool, monkeypatch):
+        sparse_graph._block_cache.clear()
+        builds = []
+        real = graph_blocks.build_blocks
+        monkeypatch.setattr(
+            graph_blocks, "build_blocks", lambda *args: builds.append(args[1]) or real(*args)
+        )
+        model = sparse_pool.make_model()
+        for state in sparse_pool.states[:2]:
+            score_candidate(model, sparse_graph, state, "val")
+        assert len(builds) == 1
+        val = sparse_graph.val_idx
+        assert sparse_graph.blocks(val[::-1], 2) is sparse_graph.blocks(val, 2)
+        assert len(builds) == 1
+        sparse_graph._block_cache.clear()
+
+    def test_least_recently_used_row_set_is_dropped(self, sparse_graph):
+        sparse_graph._block_cache.clear()
+        first = sparse_graph.blocks([0, 1], 1)
+        for i in range(graph_blocks.BLOCK_CACHE_SIZE):
+            sparse_graph.blocks([i + 2], 1)
+        assert len(sparse_graph._block_cache) == graph_blocks.BLOCK_CACHE_SIZE
+        assert sparse_graph.blocks([0, 1], 1) is not first
+        sparse_graph._block_cache.clear()
+
+
+class TestSoupsMatchFullGraph:
+    def test_gis_result_is_bit_identical(self, sparse_graph, sparse_pool, monkeypatch):
+        blocked = gis_soup(sparse_pool, sparse_graph, granularity=5)
+        with full_graph_reference(monkeypatch, sparse_graph):
+            full = gis_soup(sparse_pool, sparse_graph, granularity=5)
+        assert blocked.val_acc == full.val_acc and blocked.test_acc == full.test_acc
+        assert blocked.state_dict.keys() == full.state_dict.keys()
+        for name in full.state_dict:
+            assert np.array_equal(blocked.state_dict[name], full.state_dict[name]), name
+
+    def test_ls_alphas_match_to_rounding(self, sparse_graph, sparse_pool, monkeypatch):
+        cfg = SoupConfig(epochs=12, lr=0.5, seed=1)
+        blocked = learned_soup(sparse_pool, sparse_graph, cfg)
+        with full_graph_reference(monkeypatch, sparse_graph):
+            full = learned_soup(sparse_pool, sparse_graph, cfg)
+        assert np.abs(blocked.extras["alphas"] - full.extras["alphas"]).max() <= 1e-12
+        assert [h[2] for h in blocked.extras["history"]] == [h[2] for h in full.extras["history"]]
+
+    def test_pls_alphas_match_to_rounding(self, sparse_graph, sparse_pool, monkeypatch):
+        cfg = PLSConfig(epochs=10, lr=0.5, num_partitions=4, partition_budget=2, seed=1)
+        partition = partition_graph(sparse_graph, 4, node_weights="val", seed=0)
+        blocked = partition_learned_soup(sparse_pool, sparse_graph, cfg, partition=partition)
+        with full_graph_reference(monkeypatch, sparse_graph):
+            full = partition_learned_soup(sparse_pool, sparse_graph, cfg, partition=partition)
+        assert np.abs(blocked.extras["alphas"] - full.extras["alphas"]).max() <= 1e-12
+        assert [h[2] for h in blocked.extras["history"]] == [h[2] for h in full.extras["history"]]
+
+    def test_ls_dropout_and_batched_ls_run_on_blocks(self, sparse_graph, sparse_pool, monkeypatch):
+        from repro.soup.extensions import DropoutSoupConfig, ingredient_dropout_soup
+
+        dcfg = DropoutSoupConfig(epochs=6, lr=0.5, seed=2)
+        bcfg = replace(SoupConfig(epochs=6, lr=0.5, seed=2), val_batch_size=10)
+        blocked = (ingredient_dropout_soup(sparse_pool, sparse_graph, dcfg), learned_soup(sparse_pool, sparse_graph, bcfg))
+        with full_graph_reference(monkeypatch, sparse_graph):
+            full = (ingredient_dropout_soup(sparse_pool, sparse_graph, dcfg), learned_soup(sparse_pool, sparse_graph, bcfg))
+        for b, f in zip(blocked, full):
+            assert np.abs(b.extras["weights"] - f.extras["weights"]).max() <= 1e-12
+            assert b.test_acc == f.test_acc
+
+
+class TestEvaluatorBackends:
+    def test_serial_and_process_score_blocks_identically(self, sparse_graph, sparse_pool):
+        n = len(sparse_pool)
+        rows = np.array([sparse_graph.test_idx[5], sparse_graph.val_idx[0], sparse_graph.test_idx[5]])
+        candidates = [
+            Candidate(weights=np.full(n, 1.0 / n), split="val"),
+            Candidate(weights=np.array([0.2, 0.5, 0.3]), split="test"),
+            Candidate(weights=np.array([1.0, 0.0, 0.0]), indices=rows[:1]),
+            Candidate(weights=np.array([0.1, 0.1, 0.8]), indices=rows, kind="logits"),
+        ]
+        with make_evaluator(sparse_pool, sparse_graph) as serial:
+            expected = serial.evaluate(candidates)
+            reference = evaluate_logits(_loaded(sparse_pool, serial.mix(candidates[3].weights)), sparse_graph)
+        with make_evaluator(sparse_pool, sparse_graph, backend="process", num_workers=2) as process:
+            got = process.evaluate(candidates)
+        assert got[:3] == expected[:3]
+        assert np.array_equal(got[3], expected[3])
+        assert np.array_equal(expected[3], reference[rows])
+
+
+def _loaded(pool, state):
+    model = pool.make_model()
+    model.load_state_dict(state)
+    return model

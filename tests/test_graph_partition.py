@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +174,38 @@ class TestQuality:
         c = partition_graph(medium_graph, 16, method="metis", node_weights="val", seed=0)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(b.labels, c.labels)
+
+    def test_deterministic_at_pls_scale(self):
+        """Regression: at products scale 0.25 with K=32 (the size where
+        coarsening stalls above ``coarsen_to`` and ARPACK's ``eigsh`` gave
+        a different seed cut on identical inputs), every call in one
+        process and a fresh process must give the same labels."""
+        script = (
+            "import hashlib\n"
+            "from repro import load_dataset\n"
+            "from repro.graph import partition_graph\n"
+            "g = load_dataset('ogbn-products', seed=0, scale=0.25)\n"
+            "p = partition_graph(g, 32, 'metis', node_weights='val', seed=0)\n"
+            "print(hashlib.blake2b(p.labels.tobytes(), digest_size=16).hexdigest())\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        # the fresh process runs while this one partitions twice
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        )
+        from repro import load_dataset
+
+        graph = load_dataset("ogbn-products", seed=0, scale=0.25)
+        digests = [
+            hashlib.blake2b(
+                partition_graph(graph, 32, "metis", node_weights="val", seed=0).labels.tobytes(), digest_size=16
+            ).hexdigest()
+            for _ in range(2)
+        ]
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert digests[0] == digests[1] == out.strip()
 
     def test_works_on_bare_csr(self, medium_graph):
         result = partition_graph(medium_graph.csr, 4, method="metis", seed=0)

@@ -9,10 +9,12 @@ test here ultimately compares against the same reference — one
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +329,32 @@ class TestPredictionServerCluster:
                 assert np.array_equal(scores[0], expected[0])
                 assert np.array_equal(scores[1], expected[33])
                 assert np.array_equal(scores[2], expected[150])
+
+
+class TestClientGone:
+    def test_server_closes_the_socket_of_a_client_that_left(self, served):
+        """A client that disconnects must not leave its server-side socket
+        open: the server closes it on the reader's "gone" event, so nothing
+        is left for the garbage collector to warn about."""
+        pool, graph, state, ref = served
+        config = ServeConfig(backend="serial", cache_nodes=0, max_wait_s=0.001)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with PredictionServer(pool.model_config, graph, [state], config=config) as srv:
+                srv.start()
+                host, port = srv.address
+                with ServeClient(host, port) as client:
+                    assert np.array_equal(client.predict([1, 2]), ref[[1, 2]])
+                    (conn,) = srv._conns
+                deadline = time.monotonic() + 5.0
+                while srv._conns and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not srv._conns, "the server never noticed the client leave"
+                assert conn.sock.fileno() == -1, "the departed client's socket is still open"
+                del conn
+                gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
 
 class TestServeCli:
