@@ -630,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition a dataset and report balance/cut")
     p.add_argument("dataset", choices=dataset_names())
     p.add_argument("-k", type=int, default=32)
-    p.add_argument("--method", default="metis", choices=["metis", "spectral", "random", "bfs"])
+    p.add_argument("--method", default="metis", choices=["metis", "random", "bfs"])
     _common_data_args(p)
     p.set_defaults(fn=cmd_partition)
 

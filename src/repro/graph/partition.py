@@ -16,6 +16,16 @@ scheme METIS popularised:
 4. **K-way** — recursive bisection with proportional weight targets, so
    any K >= 2 (not just powers of two) is supported.
 
+The two hot loops run over Python lists, not numpy calls per step.
+Matching reads each visited row once, and contraction is one COO sum.
+FM refinement keeps the unlocked nodes in one lazy max-heap per
+``(side, weight)`` group. A move's balance feasibility depends only on
+those two, so it is tested once per group, and a move re-scores only the
+moved node's neighbours: O(deg log n) per move instead of O(n) numpy
+work. The labels are bit-identical to the per-step numpy formulation,
+with the same RNG draws and the same ``argmax`` first-index tie-breaks;
+``tests/_partition_reference.py`` keeps that formulation as the oracle.
+
 Balancing is on arbitrary node weights; :func:`val_balanced_weights`
 produces the paper's validation-node balancing. ``random`` and ``bfs``
 partitioners are included as baselines for the partition-quality tests and
@@ -24,6 +34,7 @@ the R/K ablation bench.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +125,7 @@ def partition_graph(
     graph:
         A :class:`Graph` or bare :class:`CSR` (assumed symmetric).
     method:
-        ``"metis"`` (multilevel KL, default) | ``"spectral"`` (recursive
-        Fiedler bisection with FM refinement, no coarsening) | ``"random"``
-        | ``"bfs"``.
+        ``"metis"`` (multilevel KL, default) | ``"random"`` | ``"bfs"``.
     node_weights:
         ``None`` (uniform), the string ``"val"`` (validation-balanced, needs
         a ``Graph``), or an explicit float array.
@@ -150,14 +159,10 @@ def partition_graph(
         labels = _random_partition(weights, k, rng)
     elif method == "bfs":
         labels = _bfs_partition(csr, weights, k, rng)
-    elif method in ("metis", "spectral"):
+    elif method == "metis":
         adj = csr.without_self_loops().to_scipy()
         adj = ((adj + adj.T) > 0).astype(np.float64).tocsr()  # symmetric unit weights
         labels = np.zeros(n, dtype=np.int64)
-        # "spectral" is the multilevel pipeline with coarsening disabled:
-        # every bisection runs the Fiedler sweep (+FM refinement) on the
-        # full subgraph — slower but a useful quality reference for the
-        # multilevel heuristics.
         _recursive_bisect(
             adj,
             weights,
@@ -166,7 +171,7 @@ def partition_graph(
             0,
             k,
             rng,
-            coarsen_to=n + 1 if method == "spectral" else coarsen_to,
+            coarsen_to=coarsen_to,
             refine_passes=refine_passes,
             imbalance_tol=imbalance_tol,
         )
@@ -200,7 +205,7 @@ def _random_partition(weights: np.ndarray, k: int, rng: np.random.Generator) -> 
 def _bfs_partition(csr: CSR, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Chunk a BFS ordering into k weight-balanced contiguous slabs."""
     n = csr.num_nodes
-    order = _bfs_order(csr, rng)
+    order = _bfs_order(csr.to_scipy(), rng)
     cum = np.cumsum(weights[order])
     total = cum[-1]
     boundaries = np.searchsorted(cum, total * np.arange(1, k) / k, side="left")
@@ -218,19 +223,21 @@ def _bfs_partition(csr: CSR, weights: np.ndarray, k: int, rng: np.random.Generat
     return labels
 
 
-def _bfs_order(csr: CSR, rng: np.random.Generator) -> np.ndarray:
-    """BFS visitation order covering all components (vectorised frontier)."""
-    n = csr.num_nodes
+def _bfs_order(adj: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
+    """BFS visitation order covering all components (vectorised frontier).
+
+    Components are started from the nodes of one ``rng.permutation(n)``
+    in turn; each frontier is visited in ascending node order.
+    """
+    n = adj.shape[0]
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     pos = 0
-    adj = csr.to_scipy()
-    seeds = rng.permutation(n)
-    for seed in seeds:
-        if visited[seed]:
+    for root in rng.permutation(n):
+        if visited[root]:
             continue
-        frontier = np.array([seed], dtype=np.int64)
-        visited[seed] = True
+        visited[root] = True
+        frontier = np.array([root], dtype=np.int64)
         while len(frontier):
             order[pos : pos + len(frontier)] = frontier
             pos += len(frontier)
@@ -304,11 +311,10 @@ def _multilevel_bisect(
         cur_adj, cur_w = coarse_adj, coarse_w
 
     # initial cut: try both spectral and greedy-growing seeds, keep the better.
-    # Greedy growing densifies the adjacency, so past a few thousand nodes
-    # (reachable when coarsening is disabled or matching stalls) it is
-    # replaced by a sparse BFS-order sweep.
+    # Both densify the adjacency, so past DENSE_MAX nodes (reachable when
+    # matching stalls) they are replaced by a sparse BFS-order sweep.
     candidates = []
-    spectral = _spectral_bisect(cur_adj, cur_w, target_left, rng)
+    spectral = _spectral_bisect(cur_adj, cur_w, target_left)
     if spectral is not None:
         candidates.append(spectral)
     if cur_adj.shape[0] <= DENSE_MAX:
@@ -316,10 +322,10 @@ def _multilevel_bisect(
     if not candidates:
         candidates.append(_bfs_sweep_bisect(cur_adj, cur_w, target_left, rng))
     side = min(candidates, key=lambda s: _cut_weight(cur_adj, s))
-    side = _fm_refine(cur_adj, cur_w, side, target_left, rng, refine_passes, imbalance_tol)
+    side = _fm_refine(cur_adj, cur_w, side, target_left, refine_passes, imbalance_tol)
     for fine_adj, fine_w, mapping in reversed(levels):
         side = side[mapping]  # project to the finer level
-        side = _fm_refine(fine_adj, fine_w, side, target_left, rng, refine_passes, imbalance_tol)
+        side = _fm_refine(fine_adj, fine_w, side, target_left, refine_passes, imbalance_tol)
     return side
 
 
@@ -330,68 +336,56 @@ def _coarsen(
 
     Returns ``(mapping, coarse_adj, coarse_weights)`` where ``mapping[v]``
     is the coarse id of fine node ``v``. Unmatched nodes map to singleton
-    coarse nodes.
+    coarse nodes. Nodes are visited in ``rng.permutation`` order and each
+    takes its heaviest free neighbour, the first in stored order on ties.
+    That tie-break is why every level must be canonical CSR (sorted
+    indices, no duplicates): the COO sum builds ``coarse_adj`` that way.
+    Edge weights are integer-valued (1 at the finest level, summed edge
+    counts above), so the sums are exact in any order.
     """
     n = adj.shape[0]
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    match = np.full(n, -1, dtype=np.int64)
-    for u in rng.permutation(n):
+    indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data  # rows sliced when visited
+    match = [-1] * n
+    for u in rng.permutation(n).tolist():
         if match[u] >= 0:
             continue
         lo, hi = indptr[u], indptr[u + 1]
-        nbrs = indices[lo:hi]
-        free = match[nbrs] < 0
-        free &= nbrs != u
-        if free.any():
-            cand = nbrs[free]
-            v = cand[np.argmax(data[lo:hi][free])]
-            match[u], match[v] = v, u
-        else:
-            match[u] = u
+        best, best_w = u, -np.inf
+        for v, w in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
+            if w > best_w and match[v] < 0 and v != u:
+                best, best_w = v, w
+        match[u] = best
+        match[best] = u
     rep = np.minimum(np.arange(n), match)
-    coarse_ids, mapping = np.unique(rep, return_inverse=True)
-    nc = len(coarse_ids)
-    assign = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), mapping)), shape=(n, nc)
-    )
-    coarse_adj = (assign.T @ adj @ assign).tocsr()
-    coarse_adj.setdiag(0)
-    coarse_adj.eliminate_zeros()
+    is_rep = rep == np.arange(n)
+    mapping = (np.cumsum(is_rep) - 1)[rep]
+    nc = int(np.count_nonzero(is_rep))
+    src = np.repeat(mapping, np.diff(adj.indptr))
+    dst = mapping[adj.indices]
+    keep = src != dst
+    coarse_adj = sp.csr_matrix((adj.data[keep], (src[keep], dst[keep])), shape=(nc, nc))
     coarse_weights = np.bincount(mapping, weights=weights, minlength=nc)
-    return mapping.astype(np.int64), coarse_adj, coarse_weights
+    return mapping, coarse_adj, coarse_weights
 
 
-def _spectral_bisect(
-    adj: sp.csr_matrix, weights: np.ndarray, target_left: float, rng: np.random.Generator
-) -> np.ndarray | None:
+def _spectral_bisect(adj: sp.csr_matrix, weights: np.ndarray, target_left: float) -> np.ndarray | None:
     """Fiedler-vector bisection of the coarsest graph (optional seed cut).
 
     Sorts nodes by the second-smallest Laplacian eigenvector and sweeps the
-    weight-balanced threshold. Graphs of at most :data:`DENSE_MAX` nodes —
-    the coarsest graph of every multilevel bisection, including those
-    where matching stalled above ``coarsen_to`` — use the dense symmetric
-    eigensolver, which is deterministic: ARPACK's shift-invert ``eigsh``
-    returned different cuts from identical coarse Laplacians across calls.
-    Returns ``None`` when the eigensolver fails, in which case greedy
-    growing is used instead.
+    weight-balanced threshold. Only graphs of 4 to :data:`DENSE_MAX` nodes
+    are cut, with the dense symmetric eigensolver, which is deterministic
+    (ARPACK's shift-invert ``eigsh`` returned different cuts from
+    identical Laplacians across calls). Returns ``None`` otherwise, or
+    when the eigensolver fails; the other seed cuts are used then.
     """
     n = adj.shape[0]
-    if n < 4:
+    if not 4 <= n <= DENSE_MAX:
         return None
     deg = np.asarray(adj.sum(axis=1)).ravel()
     laplacian = sp.diags(deg) - adj
     try:
-        if n <= DENSE_MAX:
-            _, vectors = np.linalg.eigh(laplacian.toarray())
-        else:
-            # shift-invert around 0 finds the smallest eigenpairs quickly.
-            # v0 MUST be pinned to the partitioner's generator: without it
-            # ARPACK draws its starting vector from numpy's *global*
-            # RandomState.
-            v0 = rng.standard_normal(n)
-            _, vectors = sp.linalg.eigsh(laplacian.tocsc(), k=2, sigma=-1e-6, which="LM", v0=v0)
-    except (RuntimeError, np.linalg.LinAlgError):
-        # ARPACK's errors and SuperLU's singular-factor error are RuntimeErrors
+        _, vectors = np.linalg.eigh(laplacian.toarray())
+    except np.linalg.LinAlgError:
         return None
     fiedler = vectors[:, 1]
     order = np.argsort(fiedler)
@@ -445,21 +439,7 @@ def _bfs_sweep_bisect(
     densifying the adjacency; FM refinement cleans it up afterwards.
     """
     n = adj.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    for root in rng.permutation(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        frontier = np.array([root], dtype=np.int64)
-        while len(frontier):
-            order[pos : pos + len(frontier)] = frontier
-            pos += len(frontier)
-            neighbours = adj[frontier].indices
-            fresh = np.unique(neighbours[~visited[neighbours]])
-            visited[fresh] = True
-            frontier = fresh
+    order = _bfs_order(adj, rng)
     cumulative = np.cumsum(weights[order])
     split_at = int(np.searchsorted(cumulative, target_left, side="left")) + 1
     split_at = min(max(split_at, 1), n - 1)
@@ -478,7 +458,6 @@ def _fm_refine(
     weights: np.ndarray,
     side: np.ndarray,
     target_left: float,
-    rng: np.random.Generator,
     passes: int,
     imbalance_tol: float,
 ) -> np.ndarray:
@@ -488,15 +467,33 @@ def _fm_refine(
     (``2 * external - degree``), lock it, and keep the best configuration
     seen (hill climbing escapes shallow local minima). Feasibility keeps
     the left-side weight within ``imbalance_tol`` of its target.
+
+    Whether a move is feasible depends only on the node's side and weight,
+    and an unlocked node keeps its side for the whole pass, so the
+    unlocked nodes fall into fixed ``(side, weight)`` groups that are
+    feasible or not as a whole: one evaluation of the balance test per
+    group per move is exactly the per-node test (the same float
+    expression). Each group is a lazy min-heap of ``(-gain, node)``,
+    seeded in sorted order at the start of a pass; a move pushes the new
+    entries of the moved node's neighbours, the only gains it changes.
+    Entries of locked nodes, and entries whose gain is no longer current,
+    are dropped when they reach the top. The smallest top over the
+    feasible groups is the highest gain with the lowest node id: the node
+    ``np.argmax`` over all gains would pick.
     """
     n = adj.shape[0]
     if n <= 2:
         return side
     side = side.copy()
     total = weights.sum()
-    tol = max(imbalance_tol * total, weights.max())
+    tol = float(max(imbalance_tol * total, weights.max()))
+    target_left = float(target_left)
     deg = np.asarray(adj.sum(axis=1)).ravel()
     max_moves = min(n, 512)
+    indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data  # rows sliced per move
+    deg_l, weights_l = deg.tolist(), weights.tolist()
+    group_weights, weight_rank = np.unique(weights, return_inverse=True)
+    group_weights = group_weights.tolist()
 
     for _ in range(passes):
         in_left = side.astype(np.float64)
@@ -504,38 +501,75 @@ def _fm_refine(
         left_w = float(weights[side].sum())
         cut = _cut_weight(adj, side)
         best_cut, best_at = cut, 0
-        locked = np.zeros(n, dtype=bool)
         improved = False
         trail: list[int] = []
 
+        # group g = 2 * weight rank + side; each group's (-gain, node) entries
+        # in sorted order, which is a valid min-heap
+        neg_gain = deg - 2.0 * np.where(side, deg - to_left, to_left)
+        group = 2 * weight_rank + side
+        order = np.lexsort((neg_gain, group))
+        bounds = np.searchsorted(group[order], np.arange(2 * len(group_weights) + 1)).tolist()
+        entries = list(zip(neg_gain[order].tolist(), order.tolist()))
+        heaps = [entries[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        live = [(g, group_weights[g >> 1], g & 1) for g, heap in enumerate(heaps) if heap]
+        tops: list[tuple[float, int] | None] = [None] * len(heaps)  # cached valid top; None: recompute
+        neg_gain_l, to_left_l, side_l = neg_gain.tolist(), to_left.tolist(), side.tolist()
+        group_l = group.tolist()
+        locked = [False] * n
+
         for move_idx in range(1, max_moves + 1):
-            ext = np.where(side, deg - to_left, to_left)
-            gains = 2.0 * ext - deg
-            gains[locked] = -np.inf
-            # balance feasibility of moving each node to the other side
-            new_left = np.where(side, left_w - weights, left_w + weights)
-            feasible = np.abs(new_left - target_left) <= tol
-            gains[~feasible] = -np.inf
-            v = int(np.argmax(gains))
-            if not np.isfinite(gains[v]):
+            best = None
+            for g, w, from_left in live:
+                new_left = left_w - w if from_left else left_w + w
+                if not abs(new_left - target_left) <= tol:
+                    continue  # the whole group would break the balance
+                top = tops[g]
+                if top is None:
+                    heap = heaps[g]  # drop entries of locked nodes and outdated gains
+                    while heap and (locked[heap[0][1]] or neg_gain_l[heap[0][1]] != heap[0][0]):
+                        heapq.heappop(heap)
+                    if not heap:  # every node of the group is locked
+                        live = [entry for entry in live if entry[0] != g]
+                        continue
+                    top = tops[g] = heap[0]
+                if best is None or top < best:
+                    best = top
+            if best is None:
                 break
+            key, v = best
             # apply the move
-            cut -= gains[v]
-            delta = -1.0 if side[v] else 1.0
-            left_w += delta * weights[v]
-            side[v] = not side[v]
+            cut += key
+            delta = -1.0 if side_l[v] else 1.0
+            left_w += delta * weights_l[v]
+            side_l[v] = not side_l[v]
             locked[v] = True
+            tops[group_l[v]] = None
             trail.append(v)
-            row = slice(adj.indptr[v], adj.indptr[v + 1])
-            to_left[adj.indices[row]] += delta * adj.data[row]
+            lo, hi = indptr[v], indptr[v + 1]
+            for u, weight in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
+                if locked[u]:
+                    continue
+                to_left_l[u] += delta * weight
+                ext = deg_l[u] - to_left_l[u] if side_l[u] else to_left_l[u]
+                key = deg_l[u] - 2.0 * ext
+                neg_gain_l[u] = key
+                g = group_l[u]
+                heapq.heappush(heaps[g], (key, u))
+                top = tops[g]
+                if top is not None:
+                    if top[1] == u:
+                        tops[g] = None  # the top's own gain moved
+                    elif (key, u) < top:
+                        tops[g] = (key, u)
             if cut < best_cut - 1e-12:
                 best_cut, best_at = cut, move_idx
                 improved = True
             elif move_idx - best_at >= FM_PATIENCE:
                 break  # the hill climb found nothing better in a while
 
-        # roll back to the best prefix of the move trail
-        for v in trail[best_at:]:
+        # keep the best prefix of the move trail (moves went to side_l only)
+        for v in trail[:best_at]:
             side[v] = not side[v]
         if not improved:
             break

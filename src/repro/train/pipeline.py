@@ -140,10 +140,12 @@ class PrefetchPipeline:
             key = (epoch, index)
             t0 = time.perf_counter() if metrics.enabled else 0.0
             with self._cond:
-                while key not in self._results and self._error is None:
+                while key not in self._results and self._error is None and not self._stop:
                     self._cond.wait()
                 if self._error is not None:
                     raise self._error
+                if self._stop:  # closed mid-epoch: nothing will produce the key
+                    raise RuntimeError("pipeline is closed")
                 item = self._results.pop(key)
                 metrics.set_gauge("pipeline.queue_depth", len(self._results))
             self._slots.release()

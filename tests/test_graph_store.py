@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,24 @@ class TestBudget:
             store.gather_features(np.arange(16))
         # accounting must reset instead of accumulating forever
         assert store._touched < store._release_threshold
+
+    def test_close_returns_promptly_mid_iteration(self, tiny_graph, tmp_path):
+        """close() in the middle of a budgeted row-by-row read returns
+        within a fixed bound, releases the pread descriptor, is idempotent,
+        and the rest of the read still returns the stored rows (from the
+        mmap)."""
+        row_bytes = tiny_graph.feature_dim * 8
+        store = tiny_graph.to_store(tmp_path / "b", memory_budget=row_bytes * 64)
+        fd = store._features_fd
+        chunks = np.array_split(np.arange(tiny_graph.num_nodes), 8)
+        rows = [store.gather_features(chunk) for chunk in chunks[:4]]
+        started = time.monotonic()
+        store.close()
+        store.close()
+        assert time.monotonic() - started < 1.0
+        assert fd is not None and store._features_fd is None
+        rows += [store.gather_features(chunk) for chunk in chunks[4:]]
+        np.testing.assert_array_equal(np.concatenate(rows), tiny_graph.features)
 
 
 class TestStoreTrainingParity:

@@ -8,6 +8,9 @@ a single bit of the trained weights.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,55 @@ class TestPrefetchPipeline:
         pipe.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(pipe.epoch(1))
+
+    def test_close_returns_promptly_mid_epoch(self, tiny_graph):
+        """close() mid-epoch, with the workers parked on a full lookahead,
+        returns within a fixed bound and stops every worker; the suspended
+        epoch then raises instead of waiting for a batch nothing produces."""
+        pipe = PrefetchPipeline(self._sampler(tiny_graph), prefetch_depth=2, num_workers=2)
+        batches = pipe.epoch(0)
+        next(batches)
+        threads = list(pipe._threads)
+        started = time.monotonic()
+        pipe.close()
+        assert time.monotonic() - started < 1.0
+        assert not any(t.is_alive() for t in threads)
+        outcome = []
+
+        def resume():
+            try:
+                next(batches)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        consumer = threading.Thread(target=resume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=5.0)
+        assert not consumer.is_alive()
+        assert outcome == ["pipeline is closed"]
+
+    def test_close_returns_promptly_while_sampling(self, tiny_graph):
+        """close() while a worker is inside a slow sample waits for that
+        one sample, not for the join timeout."""
+        sampler = self._sampler(tiny_graph)
+        sample, entered = sampler.sample, threading.Event()
+
+        def slow(epoch, index):
+            entered.set()
+            time.sleep(0.2)
+            return sample(epoch, index)
+
+        sampler.sample = slow
+        pipe = PrefetchPipeline(sampler, prefetch_depth=2, num_workers=1)
+        batches = pipe.epoch(0)
+        next(batches)
+        entered.clear()
+        assert entered.wait(5.0)  # the worker is inside its next sample
+        threads = list(pipe._threads)
+        started = time.monotonic()
+        pipe.close()
+        assert time.monotonic() - started < 1.0
+        assert not any(t.is_alive() for t in threads)
 
     def test_validation(self, tiny_graph):
         with pytest.raises(ValueError, match="prefetch_depth"):
