@@ -5,13 +5,14 @@ frontend and drives it with the load generator
 (:func:`repro.serve.loadgen.run_load`) in three configurations:
 
 * ``serial_nocache`` — in-process scoring, LRU disabled: every flush
-  pays a full forward pass; the floor the cache is measured against;
+  pays a forward over its rows' field (layered blocks, or the full pass
+  once the field is wide); the floor the cache is measured against;
 * ``serial_cached`` — the LRU prediction cache in front of the same
   backend under hot-set traffic: most requests never reach the model;
 * ``pipe_workers`` — two process workers behind the cluster stream,
-  pipelined flushes (full coalescing is optimal per flush — a full-graph
-  forward costs the same for 1 node or 1000 — so parallelism comes from
-  concurrent in-flight batches, not from splitting them).
+  pipelined flushes (full coalescing is optimal per flush — the rows of
+  one flush share most of their field, so splitting a batch repeats
+  that work — and parallelism comes from concurrent in-flight batches).
 
 Every configuration asserts the load generator's replay check: replies
 under concurrency are **bit-identical** to a serial replay of the same

@@ -101,6 +101,11 @@ _PING_INTERVAL = 2.0
 #: Sentinel pushed into the tcp inbox so a blocked poll wakes up on EOF.
 _WAKEUP = ("__wakeup__",)
 
+#: Seconds a closing pipe transport gives its workers, together, to exit
+#: on their stop sentinel. An idle worker exits at once; one still inside a
+#: task (its result is no longer wanted) is terminated when this runs out.
+_CLOSE_GRACE_S = 1.0
+
 #: Placeholder result in a ``done`` frame whose real result was streamed
 #: ahead of it as ``("result-chunk", ...)`` frames.
 _STREAMED = "__streamed-result__"
@@ -535,8 +540,9 @@ class PipeTransport:
         try:
             for _ in self._workers:
                 self._task_queue.put(None)
+            deadline = time.monotonic() + _CLOSE_GRACE_S
             for proc in self._workers.values():
-                proc.join(timeout=10)
+                proc.join(timeout=max(deadline - time.monotonic(), 0.0))
         finally:
             for proc in self._workers.values():
                 if proc.is_alive():

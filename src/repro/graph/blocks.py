@@ -9,7 +9,8 @@ rows each layer must produce shrink towards ``R`` layer by layer:
 * the last layer produces ``R`` from ``R`` and its 1-hop neighbours,
 * the layer before produces that set from *its* 1-hop neighbours, ...
 
-:meth:`Graph.blocks` builds that layering once per row set. Each
+:meth:`Graph.blocks` builds that layering once per row set and caches
+it; serving builds it per flush with :func:`build_blocks`, uncached. Each
 :class:`Block` holds a layer's destination ids (the rows it outputs) and
 source ids (the rows it reads), both as sorted global ids, plus the
 positions of the destinations within the sources. Its operators are the
@@ -23,7 +24,8 @@ there is no induced-subgraph degree truncation.
 The models run a block exactly like a graph: conv ``i`` reads
 ``graph.layer(i)`` and takes its self/destination term through
 ``dst_rows(x)``. A full :class:`Graph` is the trivial block (``layer(i)``
-is the graph, ``dst_rows`` the identity), so there is one forward path.
+is the graph, ``dst_rows`` and ``positions`` the identity), so there is
+one forward path.
 
 Contract: every per-row computation of a forward — the SpMM rows, the
 GEMM rows, the per-destination attention softmax, the elementwise
@@ -81,15 +83,20 @@ class Block:
 
     def _slice(self, indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, indptr, indices)`` of the ``dst`` rows with columns
-        remapped to positions in ``src`` (order within rows kept)."""
+        remapped to positions in ``src`` (order within rows kept).
+
+        The remap is one gather through a dense ``global id -> position``
+        table (``-1`` off the sources): O(n + edges), no search per edge.
+        """
         flat, degs = row_slice_index(indptr, self.dst)
-        cols = indices[flat]
-        local = np.searchsorted(self.src, cols)
-        if len(cols) and not np.array_equal(self.src[np.minimum(local, len(self.src) - 1)], cols):
+        pos = np.full(self.graph.num_nodes, -1, dtype=np.int64)
+        pos[self.src] = np.arange(len(self.src), dtype=np.int64)
+        local = pos[indices[flat]]
+        if len(local) and local.min() < 0:
             raise ValueError("block sources do not cover the destination rows' neighbours")
         sub_indptr = np.zeros(len(self.dst) + 1, dtype=np.int64)
         np.cumsum(degs, out=sub_indptr[1:])
-        return flat, sub_indptr, local.astype(np.int64)
+        return flat, sub_indptr, local
 
     def operator(self, kind: str) -> SparseAdj:
         """The graph's ``kind`` operator, sliced to ``[dst, src]`` (cached)."""
@@ -158,6 +165,15 @@ class Blocks:
             self._features = np.ascontiguousarray(self.graph.features[self.input_rows])
         return self._features
 
+    @property
+    def num_edges(self) -> int:
+        """Graph edges the forward's SpMMs read, summed over layers: the
+        degrees of each layer's destinations (self-loops not counted).
+        Known before any operator is sliced; the full pass reads
+        ``len(layers) * graph.num_edges``."""
+        indptr = self.graph.csr.indptr
+        return int(sum(int((indptr[b.dst + 1] - indptr[b.dst]).sum()) for b in self.layers))
+
     def layer(self, i: int) -> Block:
         """Conv ``i``'s block."""
         return self.layers[i]
@@ -184,11 +200,17 @@ def build_blocks(graph, rows, hops: int) -> Blocks:
     if len(rows) and (rows[0] < 0 or rows[-1] >= n):
         raise IndexError(f"rows outside [0, {n})")
     csr = graph.csr
+    # the field only grows (each layer's sources are the next one's
+    # destinations), so one membership mask accumulates it; flatnonzero
+    # reads it back as sorted unique ids
+    in_field = np.zeros(n, dtype=bool)
+    in_field[rows] = True
     layers: list[Block] = []
     dst = rows
     for _ in range(hops):
         flat, _degs = row_slice_index(csr.indptr, dst)
-        src = np.union1d(dst, csr.indices[flat])
+        in_field[csr.indices[flat]] = True
+        src = np.flatnonzero(in_field)
         layers.append(Block(graph, dst, src))
         dst = src
     return Blocks(graph, rows, tuple(reversed(layers)))

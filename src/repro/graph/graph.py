@@ -207,6 +207,10 @@ class Graph:
         """Destination rows of a node-aligned tensor: all of them."""
         return x
 
+    def positions(self, nodes: np.ndarray) -> np.ndarray:
+        """Output-row positions of node ids: the ids themselves."""
+        return np.asarray(nodes, dtype=np.int64)
+
     # -- persistence ---------------------------------------------------------------
 
     def to_store(self, path, memory_budget: int | str | None = None):

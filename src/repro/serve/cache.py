@@ -1,8 +1,9 @@
 """LRU per-node prediction cache — the serving hot path's front line.
 
-The served models are full-graph GNNs: one forward pass prices the same
-whether one node or ten thousand are requested, so the way to make the
-hot path fast is to not run it. This cache memoizes the score row of
+A cache miss runs a forward over the requested nodes' ``L``-hop field,
+which on a well-connected graph is thousands of rows even for a handful
+of nodes, so the way to make the hot path fast is to not run it. This
+cache memoizes the score row of
 every node the backend has computed (the idiom of DGL's LRU feature
 caches, ``frame_cache.py``); traffic with any locality turns repeat
 requests into dictionary lookups, and a full warm cache answers without

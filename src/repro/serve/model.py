@@ -2,12 +2,17 @@
 
 A :class:`ServedModel` wraps what Phase 2 produced — a single souped
 state dict, or (for the ensemble baselines) every ingredient state —
-behind one scoring entry point, :meth:`ServedModel.scores_at`. The
-models are full-graph transductive GNNs, so one forward pass scores
-*every* node; ``scores_at`` runs that single pass and slices out the
-requested rows. That is the whole serving determinism contract: a node's
-score row never depends on which other nodes share its batch, so any
-coalescing/arrival order produces bit-identical predictions.
+behind one scoring entry point, :meth:`ServedModel.scores_at`. An
+``L``-layer GNN's logits at a set of nodes depend only on their ``L``-hop
+field, so ``scores_at`` runs the forward on layered blocks built for the
+flush's rows (:mod:`repro.graph.blocks`): a flush of 8 nodes computes
+their field, not the whole graph. When the field is so wide that blocks
+would cost more than the full pass (:data:`BLOCK_EDGE_SHARE`), the flush
+runs on the whole graph, the trivial block, instead. Either way a row's
+logits are bit-identical to the full-graph pass. That is the whole
+serving determinism contract: a node's score row never depends on which
+other nodes share its batch, so any coalescing/arrival order produces
+bit-identical predictions.
 
 The module also defines ``SERVE_ROLE``, the worker role the cluster
 runtime runs in serving backends. It is registered under the name
@@ -20,11 +25,14 @@ sessions alike.
 from __future__ import annotations
 
 import hashlib
+import time
 from collections import OrderedDict
 
 import numpy as np
 
+from ..graph.blocks import build_blocks
 from ..models import build_model
+from ..telemetry import metrics
 from ..train import evaluate_logits
 from .cache import NodeCache
 
@@ -33,7 +41,23 @@ from .cache import NodeCache
 from ..distributed.cluster import WorkerRole
 from ..distributed.shm import attach_graph_ref
 
-__all__ = ["SERVE_ROLE", "ServedModel", "state_digest", "state_to_wire", "state_from_wire"]
+__all__ = [
+    "BLOCK_EDGE_SHARE",
+    "SERVE_ROLE",
+    "ServedModel",
+    "state_digest",
+    "state_to_wire",
+    "state_from_wire",
+]
+
+#: Widest field a flush is scored on layered blocks: the share of the full
+#: pass's SpMM edges (``num_hops * graph.num_edges``) the blocks read. A
+#: wider flush runs on the whole graph. Blocks pay for slicing the
+#: operators and gathering rows, so at full coverage they cost 1.3x (GAT)
+#: to 2.1x (SAGE) the full pass; the crossover lies at a share of ~0.6
+#: (SAGE) to ~0.75 (GAT), measured in docs/performance.md ("Serving on
+#: layered blocks").
+BLOCK_EDGE_SHARE = 0.5
 
 
 def state_to_wire(state: dict) -> tuple:
@@ -85,9 +109,10 @@ class ServedModel:
     ``states`` holds one state dict for a souped model, or every
     ingredient's state for ``ensemble=True``, in which case scoring
     averages the per-ingredient softmax probabilities — bit-identical to
-    :func:`repro.soup.ensemble.logit_ensemble` (N forward passes per
-    call; the N-fold inference cost is the ensemble trade-off the paper's
-    soups exist to remove, and the serving benches make it visible).
+    :func:`repro.soup.ensemble.logit_ensemble` (N forwards per call on
+    one set of blocks; the N-fold inference cost is the ensemble
+    trade-off the paper's soups exist to remove, and the serving benches
+    make it visible).
 
     Score rows are float64: raw logits for a single state, mean softmax
     probabilities for an ensemble. ``argmax`` of a row is the predicted
@@ -120,28 +145,27 @@ class ServedModel:
     def num_classes(self) -> int:
         return self.graph.num_classes
 
-    def full_scores(self) -> np.ndarray:
-        """``[num_nodes, num_classes]`` float64 scores of every node.
+    def field(self, rows: np.ndarray):
+        """What a flush of sorted unique ``rows`` runs its forward on.
 
-        The single scoring path every request goes through — one full
-        forward pass (N for an ensemble), independent of which nodes a
-        request asked for.
+        The layered blocks of ``rows`` (built per call, outside the graph's
+        block cache, so serving never evicts the souping row sets), or the
+        whole graph when the blocks' SpMMs would read more than
+        :data:`BLOCK_EDGE_SHARE` of the full pass's edges.
         """
-        if not self.ensemble:
-            return evaluate_logits(self._model, self.graph)
-        per_state = []
-        for state in self.states:
-            self._model.load_state_dict(state)
-            per_state.append(evaluate_logits(self._model, self.graph))
-        return _softmax(np.stack(per_state)).mean(axis=0)
+        blocks = build_blocks(self.graph, rows, self._model.num_hops)
+        if blocks.num_edges > BLOCK_EDGE_SHARE * len(blocks.layers) * self.graph.num_edges:
+            return self.graph
+        return blocks
 
     def scores_at(self, node_ids) -> dict[int, np.ndarray]:
         """Score rows for the requested nodes, keyed by node id.
 
-        Computes :meth:`full_scores` once and slices — a row is the same
-        bytes whether the node arrived alone or in a 10 000-node batch.
-        Out-of-range ids raise ``ValueError`` (the serving frontend turns
-        that into a per-request error reply).
+        One forward on :meth:`field` (N for an ensemble, sharing the
+        blocks), bit-identical to the full-graph pass at every row — a row
+        is the same bytes whether the node arrived alone or in a 10 000-node
+        batch. Out-of-range ids raise ``ValueError`` (the serving frontend
+        turns that into a per-request error reply).
         """
         ids = np.asarray(list(node_ids), dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_nodes):
@@ -150,8 +174,24 @@ class ServedModel:
                 f"node id(s) {bad[:8].tolist()} outside [0, {self.num_nodes}) "
                 f"for graph {self.graph.name!r}"
             )
-        scores = self.full_scores()
-        return {int(node): np.ascontiguousarray(scores[int(node)]) for node in ids}
+        start = time.monotonic()
+        rows = np.unique(ids)
+        field = self.field(rows)
+        at = field.positions(rows)
+        if not self.ensemble:
+            scores = evaluate_logits(self._model, field)[at]
+        else:
+            per_state = []
+            for state in self.states:
+                self._model.load_state_dict(state)
+                per_state.append(evaluate_logits(self._model, field)[at])
+            scores = _softmax(np.stack(per_state)).mean(axis=0)
+        if metrics.enabled:
+            metrics.record_span(
+                "serve.score", start, time.monotonic() - start,
+                rows=len(rows), input_rows=len(field.features), blocked=field is not self.graph,
+            )
+        return {int(node): np.ascontiguousarray(scores[i]) for i, node in enumerate(rows)}
 
 
 # ---------------------------------------------------------------------------

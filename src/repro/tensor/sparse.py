@@ -2,8 +2,10 @@
 
 GCN and GraphSAGE aggregation are a single SpMM against a fixed,
 pre-normalised adjacency. The adjacency never requires gradients, so the
-only VJP needed is ``dX = A^T @ dY``; :class:`SparseAdj` pre-transposes the
-matrix once so neither forward nor backward pays a conversion.
+only VJP needed is ``dX = A^T @ dY``; :class:`SparseAdj` transposes the
+matrix on the first backward and keeps it, so no backward pays a
+conversion and a forward that never runs one (no-grad serving, the
+feature-input layer of an alpha descent) never transposes at all.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ __all__ = ["SparseAdj", "spmm"]
 
 
 class SparseAdj:
-    """An immutable CSR operator with its transpose cached.
+    """An immutable CSR operator with its transpose built once, on first use.
 
     Parameters
     ----------
@@ -26,12 +28,19 @@ class SparseAdj:
         each node's in-neighbourhood.
     """
 
-    __slots__ = ("csr", "csr_t")
+    __slots__ = ("csr", "_csr_t")
 
     def __init__(self, matrix: sp.spmatrix) -> None:
         self.csr = sp.csr_matrix(matrix)
         self.csr.sum_duplicates()
-        self.csr_t = sp.csr_matrix(self.csr.T)
+        self._csr_t: sp.csr_matrix | None = None
+
+    @property
+    def csr_t(self) -> sp.csr_matrix:
+        """The transpose as CSR, built on first use (the backward's operand)."""
+        if self._csr_t is None:
+            self._csr_t = sp.csr_matrix(self.csr.T)
+        return self._csr_t
 
     @property
     def shape(self) -> tuple:
@@ -45,10 +54,11 @@ class SparseAdj:
 
     @property
     def nbytes(self) -> int:
-        """Storage footprint of the operator (both orientations)."""
+        """Storage footprint of the operator (and of its transpose once built)."""
         total = 0
-        for m in (self.csr, self.csr_t):
-            total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        for m in (self.csr, self._csr_t):
+            if m is not None:
+                total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
         return total
 
     def __repr__(self) -> str:
@@ -63,16 +73,17 @@ def spmm(adj: SparseAdj, dense: Tensor) -> Tensor:
     adj : SparseAdj (or any scipy sparse matrix, wrapped on the fly)
         Constant ``[n, n]`` message-passing operator — no gradient flows
         into the adjacency. Pass the cached :meth:`Graph.operator` result
-        so the CSR conversion and transpose are paid once per graph, not
-        per forward.
+        so the CSR conversion and transpose are paid at most once per
+        graph, not per forward.
     dense : Tensor, float64 ``[n, F]``
         Node-feature matrix (gradient flows through).
 
     Returns the aggregated ``[n, F]`` tensor in a single tape node: the
     forward is one compiled CSR SpMM, the backward one SpMM against the
-    pre-transposed matrix. Callers: ``GCNConv`` (``operator("gcn")``),
-    ``SAGEConv`` (``operator("mean")``), ``GINConv`` (``operator("sum")``)
-    and the serve/eval paths that reuse those layers.
+    transposed matrix (built on the first backward, then kept). Callers:
+    ``GCNConv`` (``operator("gcn")``), ``SAGEConv`` (``operator("mean")``),
+    ``GINConv`` (``operator("sum")``) and the serve/eval paths that reuse
+    those layers.
     """
     if not isinstance(adj, SparseAdj):
         adj = SparseAdj(adj)

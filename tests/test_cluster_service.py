@@ -1,19 +1,23 @@
-"""ClusterService core: worker loss, stale frames, graph shipping.
+"""ClusterService core: worker loss, stale frames, close, graph shipping.
 
 A pool whose workers always die must end in :class:`WorkerLossError`
 within bounded time, never spin; a batch that aborts must not leak its
-late frames into the next batch that reuses its keys; and the service
-:func:`open_service` builds gives host-only context entries only to
-workers on the driver's host and unlinks its segments on close.
+late frames into the next batch that reuses its keys; ``close()`` returns
+within a fixed bound whether the workers are idle, mid-batch or blocked
+in a task; and the service :func:`open_service` builds gives host-only
+context entries only to workers on the driver's host and unlinks its
+segments on close.
 
-The dying roles are registered at run time with :func:`register_role`,
-so they reach workers through fork (the default start method on Linux);
-this file is not part of the spawn CI job.
+The test roles are registered at run time with :func:`register_role` (or
+patched into the registry), so they reach workers through fork (the
+default start method on Linux); this file is not part of the spawn CI
+job.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 from multiprocessing import shared_memory
 
@@ -36,28 +40,67 @@ from repro.distributed import (
 )
 from repro.distributed import cluster
 from repro.distributed.cluster import open_service
+from repro.distributed.eval_service import EVAL_ROLE
 from repro.telemetry import metrics
+
+#: Seconds a doomed pool may take to give up (it takes well under one).
+BOUND_S = 20.0
+
+#: Seconds ``ClusterService.close()`` may take, whatever its workers do.
+CLOSE_BOUND_S = 3.0
+
+#: A fork-context ``Event`` the gated roles wait on, set per test (workers
+#: inherit it through fork); ``None`` outside those tests.
+_GATE = None
 
 
 def _exit_now(*_args):
     os._exit(17)
 
 
+def _gated_eval_run(state, task):
+    """The eval role, holding each result until the gate opens; a task
+    that raises reports at once."""
+    result = EVAL_ROLE.run(state, task)
+    _GATE.wait(BOUND_S)
+    return result
+
+
+def _sleep_run(_state, seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _block_run(_state, payload):
+    time.sleep(10 * BOUND_S)  # ends only when the worker is killed
+    return payload
+
+
 DIE_AT_INIT = WorkerRole(name="die-at-init", init=_exit_now, run=lambda _state, payload: payload)
 DIE_AT_RUN = WorkerRole(name="die-at-run", init=lambda _context: None, run=_exit_now)
+GATED_EVAL = WorkerRole(name="eval", init=EVAL_ROLE.init, run=_gated_eval_run)
+SLEEP = WorkerRole(name="sleep", init=lambda _context: None, run=_sleep_run)
+BLOCK = WorkerRole(name="block", init=lambda _context: None, run=_block_run)
 
 
 @pytest.fixture(autouse=True, scope="module")
-def dying_roles():
-    register_role("die-at-init", __name__, "DIE_AT_INIT")
-    register_role("die-at-run", __name__, "DIE_AT_RUN")
+def worker_roles():
+    names = ("die-at-init", "die-at-run", "sleep", "block")
+    for name in names:
+        register_role(name, __name__, name.upper().replace("-", "_"))
     yield
-    cluster._ROLES.pop("die-at-init")
-    cluster._ROLES.pop("die-at-run")
+    for name in names:
+        cluster._ROLES.pop(name)
 
 
-#: Seconds a doomed pool may take to give up (it takes well under one).
-BOUND_S = 20.0
+@pytest.fixture
+def gate(monkeypatch):
+    """A fresh, closed ``_GATE`` for the test's workers to wait on. Never
+    set it after a waiter may have been killed: ``Event.set`` then waits
+    forever for the dead waiter's wake-up."""
+    event = cluster._mp_context().Event()
+    monkeypatch.setattr(sys.modules[__name__], "_GATE", event)
+    return event
 
 
 class TestWorkerLoss:
@@ -97,10 +140,17 @@ class TestWorkerLoss:
 
 
 class TestStaleFramesAcrossBatches:
-    def test_aborted_batch_does_not_leak_into_the_next(self, gcn_pool, tiny_graph):
+    def test_aborted_batch_does_not_leak_into_the_next(self, gcn_pool, tiny_graph, gate, monkeypatch):
         """One worker, so batch 1's second task is still queued when its
         first task's error aborts the batch: the worker then runs it and
-        its frames arrive during batch 2, which reuses keys 0 and 1."""
+        its frames arrive during batch 2, which reuses keys 0 and 1.
+
+        The worker holds every result until the gate opens, and the gate
+        opens only after batch 1 has raised. Without it, the worker could
+        finish task 1 while the driver was still draining task 0's error,
+        so both of task 1's frames landed in batch 1 and none was stale.
+        """
+        monkeypatch.setitem(cluster._ROLES, "eval", (__name__, "GATED_EVAL"))
         flats, params = stack_flat_states(gcn_pool.states)
         n = len(gcn_pool)
         first = [np.ones(n + 5), np.full(n, 1.0 / n)]  # key 0 explodes in the worker
@@ -114,6 +164,7 @@ class TestStaleFramesAcrossBatches:
             ) as service:
                 with pytest.raises(ClusterError, match="raised unexpectedly"):
                     service.run([EvalTask(weights=w, kind="logits") for w in first])
+                gate.set()
                 scores = service.run([EvalTask(weights=w, kind="logits") for w in second])
             stale = metrics.counter_value("cluster.stale_messages")
         finally:
@@ -126,6 +177,50 @@ class TestStaleFramesAcrossBatches:
                 model, tiny_graph, mix_candidate(flats, params, w), "val", None, "logits"
             )
             assert np.array_equal(got, expected)
+
+
+class TestCloseIsBounded:
+    """``close()`` returns within :data:`CLOSE_BOUND_S` on a pipe service."""
+
+    def _timed_close(self, service) -> float:
+        started = time.monotonic()
+        service.close()
+        return time.monotonic() - started
+
+    def _assert_workers_gone(self, service, procs) -> None:
+        assert not service.transport._workers
+        assert not any(proc.is_alive() for proc in procs)
+
+    def test_idle(self):
+        service = ClusterService(PipeTransport("sleep", {}, width=2))
+        results, _ = service.run([0, 1], lambda key, _attempt: 0.0)
+        assert results == {0: 0.0, 1: 0.0}
+        procs = list(service.transport._workers.values())
+        assert self._timed_close(service) < CLOSE_BOUND_S
+        self._assert_workers_gone(service, procs)
+
+    def test_mid_batch(self):
+        service = ClusterService(PipeTransport("sleep", {}, width=2))
+        for key in range(8):
+            service.submit(key, 0.2)
+        deadline = time.monotonic() + BOUND_S
+        while not service.transport._workers or not any(service._in_flight.values()):
+            assert time.monotonic() < deadline
+            service.poll(0.05)  # until a worker has claimed a task
+        procs = list(service.transport._workers.values())
+        assert self._timed_close(service) < CLOSE_BOUND_S
+        self._assert_workers_gone(service, procs)
+
+    def test_worker_blocked_in_a_task(self):
+        service = ClusterService(PipeTransport("block", {}, width=2))
+        service.submit("stuck", None)
+        deadline = time.monotonic() + BOUND_S
+        while "stuck" not in [t.key for t in service._in_flight.values() if t is not None]:
+            assert time.monotonic() < deadline
+            service.poll(0.05)
+        procs = list(service.transport._workers.values())
+        assert self._timed_close(service) < CLOSE_BOUND_S
+        self._assert_workers_gone(service, procs)
 
 
 class TestOpenService:

@@ -15,11 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.graph.blocks as graph_blocks
 from repro.distributed import train_ingredients
 from repro.distributed.eval_service import score_candidate
-from repro.graph import GeneratorConfig, homophilous_graph, partition_graph
+from repro.graph import Graph, GeneratorConfig, edges_to_csr, homophilous_graph, partition_graph
+from repro.graph.csr import row_slice_index
 from repro.models import build_model
 from repro.soup import PLSConfig, SoupConfig, gis_soup, learned_soup, make_evaluator, partition_learned_soup
 from repro.soup.engine import Candidate
@@ -125,6 +127,90 @@ class TestBlockedLogits:
         assert structure.num_nodes == len(block.dst) and structure.num_src == len(block.src)
         neighbours = [full.indices[full.indptr[i] : full.indptr[i + 1]] for i in block.dst]
         assert np.array_equal(block.src[structure.indices], np.concatenate(neighbours))
+
+
+def _union1d_layers(graph, rows, hops):
+    """``(dst, src)`` per layer as ``build_blocks`` first built them: each
+    layer's sources by ``np.union1d``."""
+    csr = graph.csr
+    layers, dst = [], rows
+    for _ in range(hops):
+        flat, _degs = row_slice_index(csr.indptr, dst)
+        src = np.union1d(dst, csr.indices[flat])
+        layers.append((dst, src))
+        dst = src
+    return layers[::-1]
+
+
+def _searchsorted_slice(dst, src, indptr, indices):
+    """``Block._slice`` as first written: columns located by ``np.searchsorted``."""
+    flat, degs = row_slice_index(indptr, dst)
+    cols = indices[flat]
+    local = np.searchsorted(src, cols)
+    if len(cols) and not np.array_equal(src[np.minimum(local, len(src) - 1)], cols):
+        raise ValueError("block sources do not cover the destination rows' neighbours")
+    sub_indptr = np.zeros(len(dst) + 1, dtype=np.int64)
+    np.cumsum(degs, out=sub_indptr[1:])
+    return flat, sub_indptr, local.astype(np.int64)
+
+
+def _random_graph(n, m, seed):
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n, size=(2, m))
+    keep = src != dst
+    csr = edges_to_csr(src[keep], dst[keep], n)
+    zeros = np.zeros(n, dtype=bool)
+    return Graph(csr, np.ones((n, 1)), np.zeros(n, dtype=np.int64), zeros, zeros, zeros, 1), rng
+
+
+def _sliced_structures(graph):
+    """``(indptr, indices)`` of every structure a block slices."""
+    out = [(graph.operator(kind).csr.indptr, graph.operator(kind).csr.indices) for kind in ("mean", "gcn", "sum")]
+    attention = graph.attention_structure()
+    return out + [(attention.indptr, attention.indices)]
+
+
+class TestBlockConstructionExactness:
+    """The mask-built sources and the table-remapped slices equal the
+    ``union1d``/``searchsorted`` construction they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 30), m=st.integers(0, 90), hops=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
+    def test_layers_and_slices_match_the_search_based_build(self, n, m, hops, seed):
+        graph, rng = _random_graph(n, m, seed)
+        rows = np.flatnonzero(rng.random(n) < rng.random())
+        blocks = graph_blocks.build_blocks(graph, rows, hops)
+        expected = _union1d_layers(graph, rows, hops)
+        assert len(blocks.layers) == len(expected) == hops
+        for block, (dst, src) in zip(blocks.layers, expected):
+            assert block.src.dtype == np.int64
+            assert np.array_equal(block.dst, dst) and np.array_equal(block.src, src)
+            assert np.array_equal(block.dst_pos, np.searchsorted(src, dst))
+            for indptr, indices in _sliced_structures(graph):
+                got = block._slice(indptr, indices)
+                want = _searchsorted_slice(dst, src, indptr, indices)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            full = graph.operator("mean").csr
+            sliced = block.operator("mean").csr
+            assert np.array_equal(sliced.data, full.data[_searchsorted_slice(dst, src, full.indptr, full.indices)[0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 30), m=st.integers(0, 90), seed=st.integers(0, 2**31 - 1))
+    def test_uncovered_neighbours_still_raise(self, n, m, seed):
+        graph, rng = _random_graph(n, m, seed)
+        dst = np.flatnonzero(rng.random(n) < 0.4)
+        src = np.union1d(dst, np.flatnonzero(rng.random(n) < 0.3))
+        block = graph_blocks.Block(graph, dst, src)
+        for indptr, indices in _sliced_structures(graph):
+            try:
+                want = _searchsorted_slice(dst, src, indptr, indices)
+            except ValueError:
+                with pytest.raises(ValueError, match="do not cover"):
+                    block._slice(indptr, indices)
+            else:
+                for a, b in zip(block._slice(indptr, indices), want):
+                    assert np.array_equal(a, b)
 
 
 class TestBlockCache:

@@ -20,12 +20,16 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.graph import GeneratorConfig, homophilous_graph
+from repro.graph.blocks import Blocks
+from repro.models import build_model
 from repro.serve import NodeCache, PredictionServer, ServeClient, ServeConfig, ServeError
 from repro.serve.loadgen import run_load
-from repro.serve.model import ServedModel, state_digest
+from repro.serve.model import BLOCK_EDGE_SHARE, ServedModel, state_digest
 from repro.serve.server import _AdaptiveLimit
 from repro.soup import soup
 from repro.soup.ensemble import _softmax
+from repro.telemetry import metrics
 from repro.train import evaluate_logits
 
 
@@ -139,6 +143,113 @@ class TestServedModel:
         pool, graph, _state, _ref = served
         with pytest.raises(ValueError, match="exactly one state"):
             ServedModel(pool.model_config, graph, [dict(s) for s in pool.states])
+
+
+#: Sparse enough that a few rows' 2-hop field is a strict subset of the
+#: graph; hidden width 12 and 5 classes give GEMM output widths that are
+#: not multiples of 8 (the padded path of ``rowwise_matmul``).
+SPARSE_CFG = GeneratorConfig(
+    num_nodes=600,
+    num_classes=5,
+    avg_degree=3.0,
+    homophily=0.7,
+    feature_dim=10,
+    feature_noise=1.0,
+    split=(0.5, 0.06, 0.44),
+    name="sparse",
+)
+
+
+@pytest.fixture(scope="module")
+def sparse_graph():
+    return homophilous_graph(SPARSE_CFG, seed=3)
+
+
+def crossing(model: ServedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Two flushes one node apart on either side of the crossover: the
+    shorter is scored on blocks, the longer on the whole graph."""
+    order = np.random.default_rng(5).permutation(model.num_nodes)
+    lo, hi = 1, model.num_nodes  # field(order[:lo]) is blocks, field(order[:hi]) the graph
+    assert model.field(np.unique(order[:hi])) is model.graph
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if model.field(np.unique(order[:mid])) is model.graph:
+            hi = mid
+        else:
+            lo = mid
+    return np.unique(order[:lo]), np.unique(order[:hi])
+
+
+class TestServedModelOnBlocks:
+    """Every flush, on blocks or on the whole graph, scores each row
+    bit-identically to the full ``evaluate_logits`` pass."""
+
+    @pytest.mark.parametrize("ensemble", [False, True], ids=["soup", "ensemble"])
+    @pytest.mark.parametrize("arch", ["sage", "gcn", "gat", "gin", "mlp"])
+    def test_rows_match_full_pass(self, sparse_graph, arch, ensemble):
+        graph = sparse_graph
+        config = dict(arch=arch, in_dim=graph.feature_dim, out_dim=graph.num_classes, hidden_dim=12, num_heads=3)
+        seeds = (0, 1, 2) if ensemble else (0,)
+        states = [build_model(**config, seed=seed).state_dict() for seed in seeds]
+        reference = build_model(**config)
+        per_state = []
+        for state in states:
+            reference.load_state_dict(state)
+            per_state.append(evaluate_logits(reference, graph))
+        expected = _softmax(np.stack(per_state)).mean(axis=0) if ensemble else per_state[0]
+        served = ServedModel(config, graph, states, ensemble=ensemble)
+        n = graph.num_nodes
+
+        small = {"one": [17], "dup-unsorted": [412, 3, 412, 250, 3], "few": [9, 400, 77, 123]}
+        for name, ids in small.items():
+            field = served.field(np.unique(ids))
+            assert isinstance(field, Blocks), name
+            assert len(field.input_rows) < n, name
+            for block in field.layers:  # a strict subset of the graph at every layer
+                assert len(block.src) < n, name
+        flushes = dict(small, all=range(n))
+        if arch == "mlp":  # no field to grow: every flush is its own rows
+            assert isinstance(served.field(np.arange(n)), Blocks)
+        else:
+            under, past = crossing(served)
+            assert isinstance(served.field(under), Blocks)
+            blocks = served.field(under)
+            assert blocks.num_edges <= BLOCK_EDGE_SHARE * len(blocks.layers) * graph.num_edges
+            assert served.field(np.arange(n)) is graph
+            flushes.update(under=under, past=past)
+        for name, ids in flushes.items():
+            rows = served.scores_at(ids)
+            assert sorted(rows) == sorted(set(int(i) for i in ids)), name
+            for node, row in rows.items():
+                assert np.array_equal(row, expected[node]), (name, node)
+
+    def test_blocks_bypass_the_graph_block_cache(self, sparse_graph):
+        served = _served_sage(sparse_graph)
+        sparse_graph._block_cache.clear()
+        served.scores_at([1, 2, 3])
+        assert len(sparse_graph._block_cache) == 0
+
+    def test_each_flush_records_a_score_span(self, sparse_graph):
+        served = _served_sage(sparse_graph)
+        n = sparse_graph.num_nodes
+        metrics.reset()
+        metrics.set_enabled(True)
+        try:
+            served.scores_at([4, 9, 4])
+            served.scores_at(range(n))
+            spans = [span for span in metrics.snapshot()["spans"] if span[0] == "serve.score"]
+        finally:
+            metrics.set_enabled(False)
+            metrics.reset()
+        (_, _, small_s, small), (_, _, full_s, full) = spans
+        assert small["rows"] == 2 and small["blocked"] and 0 < small["input_rows"] < n
+        assert full == {"rows": n, "input_rows": n, "blocked": False}
+        assert small_s > 0 and full_s > 0
+
+
+def _served_sage(graph) -> ServedModel:
+    config = dict(arch="sage", in_dim=graph.feature_dim, out_dim=graph.num_classes, hidden_dim=12)
+    return ServedModel(config, graph, [build_model(**config).state_dict()])
 
 
 class TestAdaptiveLimit:
@@ -269,14 +380,22 @@ class TestPredictionServerSerial:
 class TestPredictionServerCluster:
     @pytest.mark.parametrize("backend", ["pipe", "tcp"])
     def test_backends_bit_identical_to_serial(self, served, backend):
+        """Workers score through the same ServedModel: small flushes on
+        blocks and wide ones on the whole graph, each bit-identical."""
         pool, graph, state, ref = served
-        config = ServeConfig(backend=backend, num_workers=2, cache_nodes=0, max_wait_s=0.001)
+        under, past = crossing(ServedModel(pool.model_config, graph, [state]))
+        # one request per flush: nothing else is pending, and max_batch
+        # holds the widest request whole
+        config = ServeConfig(
+            backend=backend, num_workers=2, cache_nodes=0, max_wait_s=0.001, max_batch=graph.num_nodes
+        )
         with PredictionServer(pool.model_config, graph, [state], config=config) as srv:
             srv.start()
             host, port = srv.address
             with ServeClient(host, port) as client:
-                ids = list(range(0, 40))
-                assert np.array_equal(client.predict(ids), ref[ids])
+                for ids in ([5], [7, 3, 7], list(range(0, 40)), under, past, range(graph.num_nodes)):
+                    ids = list(ids)
+                    assert np.array_equal(client.predict(ids), ref[ids]), ids[:8]
 
     def test_worker_death_mid_request_recovers(self, served):
         """SIGKILL one of two tcp workers with a request in flight: the

@@ -25,6 +25,21 @@ class TestSparseAdj:
         wrapped, dense = adj
         np.testing.assert_allclose(wrapped.csr_t.toarray(), dense.T)
 
+    def test_transpose_built_on_first_backward_only(self, adj, rng):
+        wrapped, _ = adj
+        before = wrapped.nbytes
+        x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        out = spmm(wrapped, x)
+        assert wrapped._csr_t is None  # a forward never transposes
+        out.backward(np.ones(out.shape))
+        built = wrapped._csr_t
+        assert built is not None and wrapped.nbytes > before
+        assert wrapped.csr_t is built  # kept, not rebuilt
+        expected = wrapped.csr.T.tocsr()
+        assert np.array_equal(built.indptr, expected.indptr)
+        assert np.array_equal(built.indices, expected.indices)
+        assert np.array_equal(built.data, expected.data)
+
     def test_duplicate_entries_summed(self):
         m = sp.coo_matrix((np.ones(2), ([0, 0], [1, 1])), shape=(2, 2))
         wrapped = SparseAdj(m)
