@@ -1,29 +1,22 @@
-"""Cluster-runtime transport scaling: pipe vs tcp, both phases.
+"""Cluster-runtime transport scaling: pipe vs tcp, Phase 1.
 
 The unified cluster runtime (:mod:`repro.distributed.cluster`) runs the
 same claim/done worker service behind two transports: the same-host
 ``pipe`` (shared task queue + shm attach) and the multi-host ``tcp``
 (length-prefixed socket frames; loopback workers here). This bench
-measures what the socket hop costs on each phase's workload:
-
-* **Phase 1** — one ingredient-training fan-out per transport (the
-  serialized graph crosses the wire at most once per worker, tasks are
-  tiny specs, results are full state dicts);
-* **Phase 2** — one GIS ratio-grid sweep per evaluator backend ×
-  transport (candidates are [N] weight vectors, results are scalars —
-  the wire-friendly direction);
-* **wire formats** — the same pipe sweep with the encode side pinned to
-  binary frames vs pickle-everything (``repro.distributed.wire``), the
-  cost of the per-message codec itself.
+measures what the socket hop costs on one ingredient-training fan-out
+per transport (the serialized graph crosses the wire at most once per
+worker, tasks are tiny specs, results are full state dicts). Phase 2
+runs in the driver, so it has no transport to measure.
 
 Determinism is asserted along the way: every transport must return the
-bit-identical pool and soup. The JSON artifact is gated against
+bit-identical pool. The JSON artifact is gated against
 ``benchmarks/baselines/cluster_transport.json`` by
 ``compare_baseline.py`` (>2x wall-clock regression fails CI).
 
 Reduced-size mode: ``REPRO_BENCH_SCALE`` shrinks the dataset and
-``REPRO_BENCH_CLUSTER_INGREDIENTS`` / ``REPRO_BENCH_CLUSTER_EPOCHS`` /
-``REPRO_BENCH_CLUSTER_GRANULARITY`` bound the workload.
+``REPRO_BENCH_CLUSTER_INGREDIENTS`` / ``REPRO_BENCH_CLUSTER_EPOCHS``
+bound the workload.
 """
 
 from __future__ import annotations
@@ -35,9 +28,7 @@ import time
 import numpy as np
 
 from repro.distributed import train_ingredients
-from repro.distributed import wire
 from repro.graph import load_dataset
-from repro.soup import gis_soup, make_evaluator
 from repro.telemetry import build_report, metrics, write_metrics
 from repro.train import TrainConfig
 
@@ -45,7 +36,6 @@ from conftest import BENCH_SCALE, write_artifact
 
 N_INGREDIENTS = int(os.environ.get("REPRO_BENCH_CLUSTER_INGREDIENTS", "6"))
 EPOCHS = int(os.environ.get("REPRO_BENCH_CLUSTER_EPOCHS", "10"))
-GRANULARITY = int(os.environ.get("REPRO_BENCH_CLUSTER_GRANULARITY", "12"))
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 
@@ -56,18 +46,11 @@ def _assert_pools_identical(reference, pool):
     assert reference.val_accs == pool.val_accs
 
 
-def _assert_soups_identical(reference, result):
-    for name in reference.state_dict:
-        np.testing.assert_array_equal(reference.state_dict[name], result.state_dict[name])
-    assert reference.val_acc == result.val_acc
-    assert reference.test_acc == result.test_acc
-
-
 def _sweep() -> dict:
     # telemetry on for the whole sweep: the companion metrics artifact
     # records what each transport actually moved (frames/bytes, claim
-    # latency, queue wait, shm attaches), and the identity asserts below
-    # double as an enabled-mode determinism check
+    # latency, queue wait, shm attaches), and the identity assert below
+    # doubles as an enabled-mode determinism check
     metrics.reset()
     metrics.set_enabled(True)
     graph = load_dataset("flickr", seed=0, scale=BENCH_SCALE)
@@ -90,60 +73,9 @@ def _sweep() -> dict:
     for name, pool in pools.items():
         _assert_pools_identical(pools["serial"], pool)
         phase1[name]["bit_identical_to_serial"] = True
-    pool = pools["serial"]
-
-    # -- Phase 2: one GIS ratio-grid sweep per transport ---------------------
-    phase2: dict[str, dict] = {}
-    soups: dict[str, object] = {}
-    warmup = np.full(N_INGREDIENTS, 1.0 / N_INGREDIENTS)
-    for name, kwargs in (
-        ("serial", dict(backend="serial")),
-        ("pipe", dict(backend="process", transport="pipe")),
-        ("tcp", dict(backend="process", transport="tcp")),
-    ):
-        # cache off: the point is transport cost per forward pass, and the
-        # score cache would blunt exactly the repeats being measured
-        with make_evaluator(
-            pool, graph, num_workers=WORKERS, cache_size=0, **kwargs
-        ) as ev:
-            # steady-state measurement: worker spawn + shm packing (and the
-            # tcp handshake/payload push) are one-time setup a long sweep
-            # amortises, so pay them up front
-            ev.accuracy_of(weights=warmup)
-            start = time.perf_counter()
-            soups[name] = gis_soup(pool, graph, granularity=GRANULARITY, evaluator=ev)
-            phase2[name] = {"wall_clock_s": time.perf_counter() - start}
-    for name, result in soups.items():
-        _assert_soups_identical(soups["serial"], result)
-        phase2[name]["bit_identical_to_serial"] = True
-
-    for rows in (phase1, phase2):
-        anchor = rows["serial"]["wall_clock_s"]
-        for row in rows.values():
-            row["speedup_vs_serial"] = anchor / row["wall_clock_s"]
-
-    # -- wire format: binary frames vs pickle-everything ---------------------
-    # same pipe GIS sweep, encode side pinned per run; the decoder accepts
-    # both, and results must stay bit-identical to the serial soup either way
-    wire_rows: dict[str, dict] = {}
-    for fmt in ("binary", "pickle"):
-        previous = wire.set_wire_format(fmt)
-        try:
-            with make_evaluator(
-                pool, graph, backend="process", transport="pipe",
-                num_workers=WORKERS, cache_size=0,
-            ) as ev:
-                ev.accuracy_of(weights=warmup)
-                start = time.perf_counter()
-                result = gis_soup(pool, graph, granularity=GRANULARITY, evaluator=ev)
-                wire_rows[fmt] = {"wall_clock_s": time.perf_counter() - start}
-        finally:
-            wire.set_wire_format(previous)
-        _assert_soups_identical(soups["serial"], result)
-        wire_rows[fmt]["bit_identical_to_serial"] = True
-    wire_rows["binary"]["speedup_vs_pickle"] = (
-        wire_rows["pickle"]["wall_clock_s"] / wire_rows["binary"]["wall_clock_s"]
-    )
+    anchor = phase1["serial"]["wall_clock_s"]
+    for row in phase1.values():
+        row["speedup_vs_serial"] = anchor / row["wall_clock_s"]
 
     return {
         "config": {
@@ -151,24 +83,20 @@ def _sweep() -> dict:
             "scale": BENCH_SCALE,
             "n_ingredients": N_INGREDIENTS,
             "ingredient_epochs": EPOCHS,
-            "gis_granularity": GRANULARITY,
             "num_workers": WORKERS,
             "cpu_count": os.cpu_count(),
         },
         "phase1_transports": phase1,
-        "phase2_transports": phase2,
-        "wire_formats": wire_rows,
     }
 
 
 def test_bench_cluster_transport(benchmark, results_dir):
-    """Pipe-vs-tcp wall clock for Phase-1 training and Phase-2 souping."""
+    """Pipe-vs-tcp wall clock for Phase-1 training."""
     report = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     write_artifact(results_dir, "cluster_transport.json", json.dumps(report, indent=2) + "\n")
     # companion metrics artifact (driver + per-worker counters/histograms)
     write_metrics(build_report(bench="cluster_transport"), results_dir / "cluster_transport_metrics.json")
     metrics.set_enabled(False)
-    for section in ("phase1_transports", "phase2_transports", "wire_formats"):
-        for name, row in report[section].items():
-            assert row["bit_identical_to_serial"], f"{section}/{name}"
-            assert row["wall_clock_s"] > 0, f"{section}/{name}"
+    for name, row in report["phase1_transports"].items():
+        assert row["bit_identical_to_serial"], name
+        assert row["wall_clock_s"] > 0, name

@@ -19,8 +19,6 @@ Subcommands::
     python -m repro cluster start-worker --port 9301    # serve a remote worker
     python -m repro train gcn flickr --executor process \
         --nodes host1:9301,host2:9301            # multi-node Phase-1 training
-    python -m repro soup gis gcn flickr --soup-executor process \
-        --soup-nodes host1:9301,host2:9301       # multi-node Phase-2 souping
     python -m repro serve us gcn flickr --port 7341   # put the soup behind traffic
     python -m repro serve ensemble-logit gcn flickr \
         --serve-backend tcp --serve-workers 4    # serve the N-pass ensemble
@@ -49,7 +47,7 @@ from .experiments.cache import get_or_train_pool
 from .experiments.config import EXPERIMENT_GRID, ExperimentSpec
 from .graph import GraphStore, dataset_names, load_dataset, partition_graph
 from .serve.server import BACKENDS as SERVE_BACKENDS
-from .soup import PLSConfig, SOUP_EXECUTORS, SOUP_METHODS, SoupConfig, make_evaluator, soup
+from .soup import PLSConfig, SOUP_METHODS, SoupConfig, make_evaluator, soup
 from .telemetry import build_report, load_report, metrics, summarize, write_metrics, write_trace
 
 __all__ = ["main"]
@@ -219,18 +217,7 @@ def cmd_soup(args: argparse.Namespace) -> int:
         kwargs["eval_budget"] = args.eval_budget
     elif args.method == "sparse":
         kwargs["sparsity"] = args.sparsity
-    # one evaluator serves the whole run: candidate batches fan out over
-    # --soup-workers (process workers mix zero-copy from shared memory,
-    # or score on remote --soup-nodes over the tcp transport)
-    soup_transport = args.soup_transport
-    if args.soup_nodes and soup_transport == "pipe":
-        soup_transport = "tcp"
-    with make_evaluator(
-        pool, graph, backend=args.soup_executor, num_workers=args.soup_workers,
-        transport=soup_transport, nodes=args.soup_nodes,
-        eval_batch=args.soup_eval_batch,
-        cache_path=args.soup_cache_path,
-    ) as ev:
+    with make_evaluator(pool, graph, cache_path=args.soup_cache_path) as ev:
         result = soup(args.method, pool, graph, evaluator=ev, **kwargs)
         cache = ev.cache_info()
     print(f"method      : {result.method}")
@@ -264,10 +251,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_cluster_start_worker(args: argparse.Namespace) -> int:
     """Serve cluster work sessions until interrupted (Ctrl-C to stop).
 
-    A worker is phase-agnostic: the driver ships the role name at
+    A worker is role-agnostic: the driver ships the role name at
     handshake, so one ``start-worker`` can train ingredients for a
-    ``--nodes`` run and score soup candidates for a ``--soup-nodes`` run
-    back to back without restarting.
+    ``--nodes`` run and serve predictions for a ``serve --serve-nodes``
+    run back to back without restarting.
     """
     from .distributed.cluster import run_worker
 
@@ -391,21 +378,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def _eval_batch_arg(text: str):
-    """Parse ``--soup-eval-batch``: the string ``adaptive`` or an int >= 1."""
-    if text == "adaptive":
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'adaptive' or an integer >= 1, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"batch size must be >= 1, got {value}")
-    return value
 
 
 def _common_data_args(p: argparse.ArgumentParser) -> None:
@@ -580,41 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-budget", type=int, default=0, help="RADIN true-eval budget")
     p.add_argument("--sparsity", type=float, default=0.5, help="sparse-soup target sparsity")
     p.add_argument(
-        "--soup-executor",
-        default="serial",
-        choices=list(SOUP_EXECUTORS),
-        help="Phase-2 candidate-evaluation backend (bit-identical results either way)",
-    )
-    p.add_argument(
-        "--soup-workers",
-        type=int,
-        default=4,
-        help="evaluation workers for --soup-executor process",
-    )
-    p.add_argument(
-        "--soup-transport",
-        default="pipe",
-        choices=list(TRANSPORTS),
-        help="cluster transport for the Phase-2 process evaluator",
-    )
-    p.add_argument(
-        "--soup-nodes",
-        default=None,
-        metavar="HOST:PORT,...",
-        help="remote `cluster start-worker` addresses for Phase-2 evaluation "
-        "(implies --soup-transport tcp)",
-    )
-    p.add_argument(
-        "--soup-eval-batch",
-        type=_eval_batch_arg,
-        default="adaptive",
-        metavar="N|adaptive",
-        help="evaluations per wire frame for the process evaluator: "
-        "'adaptive' (default) sizes chunks from measured per-task time, "
-        "an integer >= 1 pins the size (1 = one task per frame); "
-        "never changes results",
-    )
-    p.add_argument(
         "--soup-cache-path",
         default=None,
         metavar="PATH",
@@ -638,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cluster_command", required=True)
     w = csub.add_parser(
         "start-worker",
-        help="run a worker other machines' drivers can dispatch to (--nodes/--soup-nodes); "
+        help="run a worker other machines' drivers can dispatch to (--nodes/--serve-nodes); "
         "the protocol is unauthenticated pickle — trusted networks only",
     )
     w.add_argument("--host", default="0.0.0.0", help="interface to bind")

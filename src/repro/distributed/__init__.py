@@ -8,8 +8,7 @@ Three layers, lowest first:
 * :mod:`~repro.distributed.cluster` — the shared worker-service core
   (claim/done protocol, work-stealing queue, respawn-on-death, lost-task
   recovery) with pluggable same-host ``pipe`` and multi-host ``tcp``
-  transports; both Phase-1 training and the Phase-2 evaluation service
-  run on it;
+  transports; Phase-1 training and the serving layer run on it;
 * :mod:`~repro.distributed.ingredients` — Phase-1 ingredient production:
   the in-process serial loop, or the cluster runtime's shared dynamic
   task queue over process workers.
@@ -46,22 +45,7 @@ from .ingredients import (
     IngredientTrainingError,
     train_ingredients,
 )
-from .shm import (
-    SharedGraphBuffer,
-    SharedGraphSpec,
-    SharedPoolBuffer,
-    SharedPoolSpec,
-    attach_graph,
-    attach_pool,
-)
-from .eval_service import (
-    EvalService,
-    EvalServiceError,
-    EvalTask,
-    mix_candidate,
-    score_candidate,
-    stack_flat_states,
-)
+from .shm import SharedGraphBuffer, SharedGraphSpec, attach_graph
 
 __all__ = [
     "TaskSchedule",
@@ -78,16 +62,7 @@ __all__ = [
     "run_fingerprint",
     "SharedGraphBuffer",
     "SharedGraphSpec",
-    "SharedPoolBuffer",
-    "SharedPoolSpec",
     "attach_graph",
-    "attach_pool",
-    "EvalService",
-    "EvalServiceError",
-    "EvalTask",
-    "mix_candidate",
-    "score_candidate",
-    "stack_flat_states",
     "TRANSPORTS",
     "ClusterError",
     "ClusterService",

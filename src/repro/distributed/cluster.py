@@ -1,10 +1,11 @@
 """Unified cluster runtime: one claim/done worker service, pluggable transports.
 
-Both phases of the paper's pipeline fan work out to a pool of persistent
-workers pulling from a shared queue — Phase 1 trains ingredients with
-zero inter-worker communication (§III-A), Phase 2 scores soup candidates
-on immutable state (§III-E) — and the serving layer answers prediction
-batches on the same pool. This module is the one core all three run on:
+Phase 1 of the paper's pipeline fans work out to a pool of persistent
+workers pulling from a shared queue — it trains ingredients with zero
+inter-worker communication (§III-A) — and the serving layer answers
+prediction batches on the same kind of pool. (Phase 2, souping, runs in
+the driver: see :mod:`repro.soup.engine`.) This module is the one core
+both run on:
 
 * :class:`ClusterService` — the driver-side task service. ``submit``
   enqueues one keyed task and ``poll`` returns the tasks that completed;
@@ -48,9 +49,9 @@ batches on the same pool. This module is the one core all three run on:
 Both transports stream a large task result back in bounded chunks and
 reassemble it before the service layer sees the completion.
 
-The determinism contracts of both phases survive any transport because
-results are keyed by task id and merged in task order, never in
-completion order.
+The determinism contracts of training and serving survive any
+transport because results are keyed by task id and merged in task
+order, never in completion order.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ _PING_INTERVAL = 2.0
 #: Sentinel pushed into the tcp inbox so a blocked poll wakes up on EOF.
 _WAKEUP = ("__wakeup__",)
 
-#: Seconds a closing pipe transport gives its workers, together, to exit
-#: on their stop sentinel. An idle worker exits at once; one still inside a
+#: Seconds a closing transport gives its spawned workers, together, to exit
+#: on their stop message. An idle worker exits at once; one still inside a
 #: task (its result is no longer wanted) is terminated when this runs out.
 _CLOSE_GRACE_S = 1.0
 
@@ -135,8 +136,7 @@ def _approx_result_nbytes(result) -> int:
 
     Counts ndarray buffer bytes where large results actually keep them
     (state-dict-shaped mappings, objects carrying a ``state_dict``); the
-    scalar/score results of the eval hot path probe to 0 and skip the
-    streaming branch entirely.
+    scalar results probe to 0 and skip the streaming branch entirely.
     """
     if isinstance(result, dict):
         return sum(int(getattr(v, "nbytes", 0) or 0) for v in result.values())
@@ -276,7 +276,6 @@ class WorkerRole:
 #: unpickling a function object from the wire.
 _ROLES: dict[str, tuple[str, str]] = {
     "ingredients": ("repro.distributed.ingredients", "INGREDIENT_ROLE"),
-    "eval": ("repro.distributed.eval_service", "EVAL_ROLE"),
     "serve": ("repro.serve.model", "SERVE_ROLE"),
 }
 
@@ -1068,10 +1067,14 @@ class TcpTransport:
                 worker.sock.close()
             except OSError:
                 pass
-            if worker.proc is not None:
-                worker.proc.join(timeout=5)
-                if worker.proc.is_alive():
-                    worker.proc.terminate()
+        procs = [w.proc for w in self._workers.values() if w.proc is not None]
+        deadline = time.monotonic() + _CLOSE_GRACE_S
+        for proc in procs:
+            proc.join(timeout=max(deadline - time.monotonic(), 0.0))
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
         self._workers.clear()
 
 
@@ -1104,8 +1107,8 @@ class ClusterService:
     task and :meth:`poll` returns the tasks that completed since the last
     call — for callers whose work arrives over time (the serving layer);
     :meth:`run` drives one finite batch to completion over the same core
-    and returns ``(results_by_key, exhausted_keys)`` (Phase 1 and
-    Phase 2). One claim table backs both:
+    and returns ``(results_by_key, exhausted_keys)`` (Phase 1). One
+    claim table backs both:
 
     * request ids unique across the service lifetime, so frames of a task
       that already completed (a duplicate execution after a conservative
@@ -1222,11 +1225,10 @@ class ClusterService:
         its inject/resume flags per attempt. A worker-reported ``fault``
         (one of the role's ``fault_types``) re-queues the task until
         ``max_attempts`` submissions are spent, after which the key lands
-        in the exhausted list; ``None`` means unbounded (Phase-2
-        evaluations are idempotent and only ever retried on worker
-        death). ``on_done(key, result)`` fires the moment a task
-        completes (checkpointing), ``on_fault(key)`` on every reported
-        fault (fault-budget accounting), ``on_lost(key)`` when a
+        in the exhausted list; ``None`` means unbounded (the task is only
+        ever retried on worker death). ``on_done(key, result)`` fires the
+        moment a task completes (checkpointing), ``on_fault(key)`` on every
+        reported fault (fault-budget accounting), ``on_lost(key)`` when a
         *claimed* task died with its worker (kill-fault accounting).
 
         A worker-side error raises :class:`ClusterError`. A batch that
@@ -1456,7 +1458,6 @@ def open_service(
     transport: str = "pipe",
     nodes=None,
     shm: bool = True,
-    pool=None,
     host_only: dict | None = None,
 ) -> ClusterService:
     """A :class:`ClusterService` whose ``role`` workers each hold ``graph``.
@@ -1464,11 +1465,10 @@ def open_service(
     The one driver-side place that decides how the graph reaches a
     worker: :func:`~repro.distributed.shm.share_graph` picks the ref and
     roles read it back with :func:`~repro.distributed.shm.attach_graph_ref`.
-    Each worker's context is ``context`` plus a ``graph_ref`` entry (and a
-    ``pool_ref`` one for a ``(flats, params)`` ``pool``). ``host_only``
-    entries are added only where every worker that keeps the context
-    shares this host: the pipe transport, or a shared-memory ref, which
-    only a same-host worker can attach. Over tcp, a worker whose init
+    Each worker's context is ``context`` plus a ``graph_ref`` entry.
+    ``host_only`` entries are added only where every worker that keeps the
+    context shares this host: the pipe transport, or a shared-memory ref,
+    which only a same-host worker can attach. Over tcp, a worker whose init
     fails on that context (a remote node cannot reach the segment) is
     sent the serialized-arrays context instead, without ``host_only``; a
     store-backed graph has no such fallback, since materialising its
@@ -1483,7 +1483,7 @@ def open_service(
     nodes = parse_nodes(nodes)
     if nodes and transport != "tcp":
         raise ValueError("worker nodes require transport='tcp'")
-    refs, fallback, segments = share_graph(graph, shm, pool)
+    refs, fallback, segments = share_graph(graph, shm)
     primary = {**context, **refs}
     # only a worker on this host can attach one of its segments
     if host_only and (transport == "pipe" or segments):

@@ -1,10 +1,9 @@
 """How the graph reaches cluster workers: refs, and the shared-memory transport.
 
-Every cluster worker holds the whole graph: Phase-1 tasks, Phase-2
-evaluations and served forward passes all read all of it. The driver
-ships it once per worker as one of three *refs*, picked by
-:func:`share_graph` and read back in the worker by
-:func:`attach_graph_ref`:
+Every cluster worker holds the whole graph: Phase-1 tasks and served
+forward passes read all of it. The driver ships it once per worker as
+one of three *refs*, picked by :func:`share_graph` and read back in the
+worker by :func:`attach_graph_ref`:
 
 * ``graph_store`` — the path of a store-backed graph's mmap
   :class:`~repro.graph.store.GraphStore`; the worker reopens the store,
@@ -16,9 +15,6 @@ ships it once per worker as one of three *refs*, picked by
   it. A :class:`SharedGraphSpec` is the picklable descriptor crossing the
   process boundary; it is a few hundred bytes regardless of graph size;
 * ``arrays`` — the raw arrays, pickled into the worker's handshake.
-
-:class:`SharedPoolBuffer` does the same for the Phase-2 evaluator's
-``[N, D]`` stack of flat ingredient states (``pool_ref``).
 
 Lifecycle contract:
 
@@ -51,12 +47,8 @@ from ..telemetry import metrics
 __all__ = [
     "SharedGraphBuffer",
     "SharedGraphSpec",
-    "SharedPoolBuffer",
-    "SharedPoolSpec",
     "attach_graph",
     "attach_graph_ref",
-    "attach_pool",
-    "attach_pool_ref",
     "share_graph",
 ]
 
@@ -212,98 +204,6 @@ def attach_graph(spec: SharedGraphSpec) -> _AttachedGraph:
     return _AttachedGraph(shm, graph)
 
 
-@dataclass(frozen=True)
-class SharedPoolSpec:
-    """Picklable descriptor of an ingredient pool's stacked flat states.
-
-    The payload is one ``[N, D]`` float64 matrix — ingredient ``i``'s full
-    parameter vector flattened into row ``i`` — plus the ``(name, shape)``
-    spec needed to unflatten a mixed row back into a state dict. Workers
-    of the Phase-2 evaluation service mix candidates directly from views
-    into this matrix instead of unpickling N state dicts per task.
-    """
-
-    shm_name: str
-    shape: tuple[int, int]  # (n_ingredients, total_params)
-    params: tuple[tuple[str, tuple[int, ...]], ...]  # (name, shape) in state-dict order
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes of the stacked flat states."""
-        return int(np.dtype(np.float64).itemsize) * int(np.prod(self.shape, dtype=np.int64))
-
-
-class SharedPoolBuffer:
-    """Creator-side owner of one pool's shared flat-state segment.
-
-    Same lifecycle contract as :class:`SharedGraphBuffer`: the creator
-    (the evaluation-service driver) owns and eventually unlinks the
-    segment; workers attach untracked, zero-copy views and only close
-    their mapping.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, spec: SharedPoolSpec) -> None:
-        self._shm = shm
-        self.spec = spec
-        self._released = False
-
-    @classmethod
-    def create(cls, flats: np.ndarray, params) -> "SharedPoolBuffer":
-        """Pack a ``[N, D]`` float64 flat-state stack into a fresh segment."""
-        flats = np.ascontiguousarray(flats, dtype=np.float64)
-        if flats.ndim != 2:
-            raise ValueError(f"flat-state stack must be [N, D], got shape {flats.shape}")
-        shm = shared_memory.SharedMemory(create=True, size=max(flats.nbytes, 1))
-        view = np.ndarray(flats.shape, dtype=np.float64, buffer=shm.buf)
-        view[...] = flats
-        spec = SharedPoolSpec(
-            shm_name=shm.name,
-            shape=(int(flats.shape[0]), int(flats.shape[1])),
-            params=tuple((str(name), tuple(int(s) for s in shape)) for name, shape in params),
-        )
-        return cls(shm, spec)
-
-    def unlink(self) -> None:
-        """Close and remove the segment (idempotent)."""
-        if self._released:
-            return
-        self._released = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # already unlinked by a concurrent cleanup
-            pass
-
-    def __enter__(self) -> "SharedPoolBuffer":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.unlink()
-
-
-class _AttachedPool:
-    """Worker-side handle: the flat-state view plus the segment reference."""
-
-    def __init__(self, shm: shared_memory.SharedMemory, flats: np.ndarray, spec: SharedPoolSpec) -> None:
-        self._shm = shm
-        self.flats = flats
-        self.spec = spec
-        self._closed = False
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.flats = None
-            self._shm.close()
-
-
-def attach_pool(spec: SharedPoolSpec) -> _AttachedPool:
-    """Attach to the segment named by ``spec``; ``.flats`` is a zero-copy view."""
-    shm = _attach_untracked(spec.shm_name)
-    flats = np.ndarray(spec.shape, dtype=np.float64, buffer=shm.buf)
-    return _AttachedPool(shm, flats, spec)
-
-
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without resource-tracker ownership.
 
@@ -372,39 +272,30 @@ def _graph_from_payload(payload: dict) -> Graph:
     )
 
 
-def share_graph(graph: Graph, shm: bool = True, pool=None) -> tuple[dict, dict | None, list]:
-    """Pick how ``graph`` (and an optional ``(flats, params)`` pool) reach workers.
+def share_graph(graph: Graph, shm: bool = True) -> tuple[dict, dict | None, list]:
+    """Pick how ``graph`` reaches workers.
 
     The ref is the graph's store when it is store-backed, else a fresh
     shared-memory segment when ``shm`` is set, else the arrays. A
     platform without usable shared memory degrades to the arrays with a
     ``RuntimeWarning``. Returns ``(refs, fallback, segments)``: the
-    ``graph_ref``/``pool_ref`` context entries, the arrays-only entries
-    for a worker that cannot use them (``None`` for a store-backed
-    graph), and the segments the caller now owns and must unlink.
+    ``graph_ref`` context entry, the arrays-only entry for a worker that
+    cannot use it (``None`` for a store-backed graph), and the segments
+    the caller now owns and must unlink.
     """
-    arrays = {"graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)}}
-    if pool is not None:
-        arrays["pool_ref"] = {"kind": "arrays", "flats": pool[0], "params": tuple(pool[1])}
     if graph.is_store_backed:
         store = {
             "kind": "graph_store",
             "path": str(graph.store.path),
             "budget": graph.store.memory_budget,
         }
-        return {**arrays, "graph_ref": store}, None, []
+        return {"graph_ref": store}, None, []
+    arrays = {"graph_ref": {"kind": "arrays", "payload": _graph_to_payload(graph)}}
     if not shm:
         return arrays, arrays, []
-    segments: list = []
     try:
-        segments.append(SharedGraphBuffer.create(graph))
-        refs = {"graph_ref": {"kind": "shm", "spec": segments[0].spec}}
-        if pool is not None:
-            segments.append(SharedPoolBuffer.create(*pool))
-            refs["pool_ref"] = {"kind": "shm", "spec": segments[1].spec}
+        segment = SharedGraphBuffer.create(graph)
     except OSError as exc:
-        for segment in segments:
-            segment.unlink()
         warnings.warn(
             f"shared-memory graph transport unavailable ({exc!r}); "
             "falling back to pickled payloads",
@@ -412,7 +303,7 @@ def share_graph(graph: Graph, shm: bool = True, pool=None) -> tuple[dict, dict |
             stacklevel=3,
         )
         return arrays, arrays, []
-    return refs, arrays, segments
+    return {"graph_ref": {"kind": "shm", "spec": segment.spec}}, arrays, [segment]
 
 
 def attach_graph_ref(ref: dict) -> tuple[Graph, _AttachedGraph | None]:
@@ -428,14 +319,3 @@ def attach_graph_ref(ref: dict) -> tuple[Graph, _AttachedGraph | None]:
         return GraphStore(ref["path"], memory_budget=ref.get("budget")).graph(), None
     metrics.inc("transport.payload_inits")
     return _graph_from_payload(ref["payload"]), None
-
-
-def attach_pool_ref(ref: dict) -> tuple[np.ndarray, tuple, _AttachedPool | None]:
-    """Worker side of a ``pool_ref``: ``(flats, params, handle)``, where
-    ``handle`` keeps a shared-memory view alive (``None`` for arrays)."""
-    if ref["kind"] == "shm":
-        metrics.inc("transport.shm_attaches")
-        handle = attach_pool(ref["spec"])
-        return handle.flats, handle.spec.params, handle
-    metrics.inc("transport.payload_inits")
-    return ref["flats"], ref["params"], None

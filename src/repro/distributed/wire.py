@@ -3,9 +3,9 @@
 Every frame the transports ship — tcp frames, serve frames, and the pipe
 transport's queue/pipe messages — historically was one pickled blob.
 Pickle is a fine *generality* fallback but pays per-message object
-machinery exactly on the protocol's hottest, smallest messages: candidate
-weight-vector tasks, scalar-score completions and prediction-row replies,
-of which a souping run or serving session sends tens of thousands.
+machinery exactly on the protocol's hottest, smallest messages: claims,
+heartbeats, node-id batches and prediction-row replies, of which a
+serving session sends tens of thousands.
 
 This module splits the pickle path from a buffer path, mpi4py-style
 (lowercase methods for generic objects, uppercase for buffers):
@@ -23,21 +23,12 @@ Format bytes:
 ``P``   pickled body — the universal fallback; always decodable.
 ``C``   ``("claim", wid, rid)``                 — ``>qQ``
 ``G``   ``("ping", wid)``                       — ``>q``
-``D``   ``("done", wid, rid, score)``           — ``>qQ`` + scalar
-``S``   ``("done", wid, rid, [score, ...])``    — ``>qQ`` + scalar vector
 ``R``   ``("done", wid, rid, {nid: row, ...})`` — prediction rows: int64
         keys + one contiguous float64 ``[n, width]`` block
 ``A``   ``("task", rid, ndarray)``              — e.g. serve node-id batches
 ``E``   ``("result-chunk", wid, rid, seq, total, bytes)`` — one bounded
         chunk of a streamed large result (pickled once worker-side, cut
         into chunks; the driver transport reassembles)
-``T``/``U``  eval-task payloads — registered by
-        :mod:`repro.distributed.eval_service` at import time (the codec
-        registry keeps this module free of upward imports).
-
-Scalars preserve their concrete type across the wire (Python ``float`` vs
-``np.float64``) so driver-side result lists stay bit- and type-identical
-to a serial run — part of the determinism contract.
 
 Decoding is strict: an unknown format byte, a truncated body or trailing
 bytes raise :class:`WireFormatError` instead of yielding garbage. The
@@ -60,13 +51,8 @@ __all__ = [
     "decode_frame",
     "set_wire_format",
     "wire_format",
-    "register_task_payload",
     "pack_array",
     "unpack_array",
-    "pack_optional_array",
-    "unpack_optional_array",
-    "pack_str",
-    "unpack_str",
 ]
 
 
@@ -76,15 +62,10 @@ class WireFormatError(ValueError):
 
 _PICKLE = 0x50  # "P"
 _I64 = struct.Struct(">q")
-_U32 = struct.Struct(">I")
 _CLAIM = struct.Struct(">qQ")  # wid, rid
 _PING = struct.Struct(">q")  # wid
 _ROWS_HDR = struct.Struct(">qQIQ")  # wid, rid, n_rows, row_width
 _CHUNK_HDR = struct.Struct(">qQII")  # wid, rid, seq, total
-
-#: scalar sub-tags: concrete result type survives the round trip
-_SCALAR_FLOAT = 0
-_SCALAR_NP64 = 1
 
 _FORMATS = ("binary", "pickle")
 _format = os.environ.get("REPRO_WIRE_FORMAT", "binary")
@@ -114,26 +95,8 @@ def set_wire_format(fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# primitive packers (shared with registered payload codecs)
+# array packer
 # ---------------------------------------------------------------------------
-
-
-def pack_str(out: bytearray, text: str) -> None:
-    """Append a length-prefixed UTF-8 string."""
-    raw = text.encode("utf-8")
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def unpack_str(mv: memoryview, pos: int) -> tuple[str, int]:
-    """Read a length-prefixed UTF-8 string; returns ``(text, new_pos)``."""
-    if pos + 4 > len(mv):
-        raise WireFormatError("truncated string length")
-    (n,) = _U32.unpack_from(mv, pos)
-    pos += 4
-    if pos + n > len(mv):
-        raise WireFormatError("truncated string body")
-    return str(mv[pos : pos + n], "utf-8"), pos + n
 
 
 def pack_array(out: bytearray, arr: np.ndarray) -> bool:
@@ -186,81 +149,6 @@ def unpack_array(mv: memoryview, pos: int) -> tuple[np.ndarray, int]:
     return arr, pos + nbytes
 
 
-def pack_optional_array(out: bytearray, arr: np.ndarray | None) -> bool:
-    """Append a presence byte then (when present) the array; see :func:`pack_array`."""
-    if arr is None:
-        out += b"\x00"
-        return True
-    out += b"\x01"
-    return pack_array(out, arr)
-
-
-def unpack_optional_array(mv: memoryview, pos: int) -> tuple[np.ndarray | None, int]:
-    """Inverse of :func:`pack_optional_array`."""
-    if pos >= len(mv):
-        raise WireFormatError("truncated optional-array flag")
-    flag = mv[pos]
-    pos += 1
-    if flag == 0:
-        return None, pos
-    if flag != 1:
-        raise WireFormatError(f"bad optional-array flag {flag}")
-    return unpack_array(mv, pos)
-
-
-def _pack_scalar(out: bytearray, value) -> bool:
-    t = type(value)
-    if t is float:
-        out += bytes((_SCALAR_FLOAT,))
-    elif t is np.float64:
-        out += bytes((_SCALAR_NP64,))
-    else:
-        return False
-    out += struct.pack(">d", float(value))
-    return True
-
-
-def _unpack_scalar(mv: memoryview, pos: int):
-    if pos + 9 > len(mv):
-        raise WireFormatError("truncated scalar")
-    kind = mv[pos]
-    (value,) = struct.unpack_from(">d", mv, pos + 1)
-    if kind == _SCALAR_NP64:
-        value = np.float64(value)
-    elif kind != _SCALAR_FLOAT:
-        raise WireFormatError(f"bad scalar kind {kind}")
-    return value, pos + 9
-
-
-# ---------------------------------------------------------------------------
-# task-payload extension registry
-# ---------------------------------------------------------------------------
-
-#: ``fmt byte -> (match, encode_body, decode_body)`` for ``("task", rid, payload)``
-#: payload families registered by higher layers (e.g. the eval service's
-#: :class:`EvalTask` codec). ``encode_body(out, payload) -> bool`` appends to
-#: a bytearray already holding the rid; ``decode_body(mv, pos) -> (payload,
-#: new_pos)``. Registration is idempotent by byte.
-_TASK_CODECS: dict[int, tuple] = {}
-
-
-def register_task_payload(fmt: bytes, match, encode_body, decode_body) -> None:
-    """Register a codec for one family of ``("task", rid, payload)`` payloads.
-
-    ``fmt`` is a single reserved byte (must not collide with the built-in
-    format bytes). ``match(payload)`` is a cheap structural test;
-    ``encode_body(out, payload)`` appends the payload after the rid and
-    returns ``False`` to decline (whole frame falls back to pickle);
-    ``decode_body(mv, pos)`` is the strict inverse.
-    """
-    if len(fmt) != 1:
-        raise ValueError("format id must be a single byte")
-    code = fmt[0]
-    if code in (_PICKLE, ord("C"), ord("G"), ord("D"), ord("S"), ord("R"), ord("A"), ord("E")):
-        raise ValueError(f"format byte {fmt!r} is reserved")
-    _TASK_CODECS[code] = (fmt, match, encode_body, decode_body)
-
-
 # ---------------------------------------------------------------------------
 # frame encode / decode
 # ---------------------------------------------------------------------------
@@ -275,25 +163,7 @@ def _encode_binary(message) -> bytes | bytearray | None:
         _, wid, rid, result = message
         if type(wid) is not int or type(rid) is not int or rid < 0:
             return None
-        t = type(result)
-        if t is float or t is np.float64:
-            out = bytearray(b"D")
-            out += _CLAIM.pack(wid, rid)
-            if _pack_scalar(out, result):
-                return out
-            return None
-        if t is list:
-            if result and (type(result[0]) is float or type(result[0]) is np.float64):
-                first = type(result[0])
-                if all(type(r) is first for r in result):
-                    out = bytearray(b"S")
-                    out += _CLAIM.pack(wid, rid)
-                    out += bytes((_SCALAR_NP64 if first is np.float64 else _SCALAR_FLOAT,))
-                    out += _U32.pack(len(result))
-                    out += struct.pack(f">{len(result)}d", *result)
-                    return out
-            return None
-        if t is dict and result:
+        if type(result) is dict and result:
             return _encode_rows(wid, rid, result)
         return None
     if kind == "claim" and len(message) == 3:
@@ -330,14 +200,6 @@ def _encode_binary(message) -> bytes | bytearray | None:
             out += struct.pack(">Q", rid)
             if pack_array(out, payload):
                 return out
-            return None
-        for code, (fmt, match, encode_body, _dec) in _TASK_CODECS.items():
-            if match(payload):
-                out = bytearray(fmt)
-                out += struct.pack(">Q", rid)
-                if encode_body(out, payload):
-                    return out
-                return None
         return None
     return None
 
@@ -406,32 +268,6 @@ def decode_frame(data) -> object:
         if len(body) != _PING.size:
             raise WireFormatError("bad ping frame length")
         return ("ping", _PING.unpack(body)[0])
-    if code == ord("D"):
-        if len(body) < _CLAIM.size:
-            raise WireFormatError("truncated done frame")
-        wid, rid = _CLAIM.unpack_from(body, 0)
-        value, pos = _unpack_scalar(body, _CLAIM.size)
-        if pos != len(body):
-            raise WireFormatError("trailing bytes in done frame")
-        return ("done", wid, rid, value)
-    if code == ord("S"):
-        if len(body) < _CLAIM.size + 5:
-            raise WireFormatError("truncated score-list frame")
-        wid, rid = _CLAIM.unpack_from(body, 0)
-        pos = _CLAIM.size
-        scalar_kind = body[pos]
-        (n,) = _U32.unpack_from(body, pos + 1)
-        pos += 5
-        if pos + 8 * n != len(body):
-            raise WireFormatError("bad score-list frame length")
-        values = np.frombuffer(body[pos:], dtype=">f8").astype(np.float64)
-        if scalar_kind == _SCALAR_FLOAT:
-            result = values.tolist()
-        elif scalar_kind == _SCALAR_NP64:
-            result = list(values)
-        else:
-            raise WireFormatError(f"bad scalar kind {scalar_kind}")
-        return ("done", wid, rid, result)
     if code == ord("R"):
         if len(body) < _ROWS_HDR.size:
             raise WireFormatError("truncated rows frame")
@@ -456,14 +292,4 @@ def decode_frame(data) -> object:
         if pos != len(body):
             raise WireFormatError("trailing bytes in array-task frame")
         return ("task", rid, arr)
-    codec = _TASK_CODECS.get(code)
-    if codec is not None:
-        _fmt, _match, _enc, decode_body = codec
-        if len(body) < 8:
-            raise WireFormatError("truncated task frame")
-        (rid,) = struct.unpack_from(">Q", body, 0)
-        payload, pos = decode_body(body, 8)
-        if pos != len(body):
-            raise WireFormatError("trailing bytes in task frame")
-        return ("task", rid, payload)
     raise WireFormatError(f"unknown wire format byte 0x{code:02x}")

@@ -16,10 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..cli import _eval_batch_arg
 from ..distributed import EXECUTORS, TRANSPORTS
 from ..graph import dataset_names, load_dataset
-from ..soup import SOUP_EXECUTORS
 from .cache import get_or_train_pool
 from .config import PAPER_ARCHS, make_spec
 from .figures import render_fig3, render_fig4a, render_fig4b
@@ -85,43 +83,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         action="store_true",
         help="skip finished ingredients in --checkpoint-dir and continue interrupted ones",
     )
-    parser.add_argument(
-        "--soup-executor",
-        default="serial",
-        choices=list(SOUP_EXECUTORS),
-        help="Phase-2 candidate-evaluation backend shared by every method × rotation",
-    )
-    parser.add_argument(
-        "--soup-workers",
-        type=int,
-        default=4,
-        help="evaluation workers for --soup-executor process",
-    )
-    parser.add_argument(
-        "--soup-transport",
-        default="pipe",
-        choices=list(TRANSPORTS),
-        help="cluster transport for the Phase-2 process evaluator",
-    )
-    parser.add_argument(
-        "--soup-nodes",
-        default=None,
-        metavar="HOST:PORT,...",
-        help="remote `cluster start-worker` addresses for Phase-2 tcp evaluation",
-    )
-    parser.add_argument(
-        "--soup-eval-batch",
-        type=_eval_batch_arg,
-        default="adaptive",
-        metavar="N|adaptive",
-        help="evaluations per wire frame for the process evaluator "
-        "('adaptive' or an integer >= 1; never changes results)",
-    )
     args = parser.parse_args(argv)
     if args.nodes and args.transport == "pipe":
         args.transport = "tcp"  # a node list implies the socket transport
-    if args.soup_nodes and args.soup_transport == "pipe":
-        args.soup_transport = "tcp"
     return args
 
 
@@ -156,17 +120,7 @@ def _run_grid(args: argparse.Namespace):
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
         )
-        cell = run_cell(
-            spec,
-            graph=graph,
-            pool=pool,
-            n_soups=args.soups,
-            soup_executor=args.soup_executor,
-            soup_workers=args.soup_workers,
-            soup_transport=args.soup_transport,
-            soup_nodes=args.soup_nodes,
-            soup_eval_batch=args.soup_eval_batch,
-        )
+        cell = run_cell(spec, graph=graph, pool=pool, n_soups=args.soups)
         if cell.cache_info:
             c = cell.cache_info
             lookups = c["hits"] + c["misses"]

@@ -14,7 +14,6 @@ One *cell* is an (architecture, dataset) pair. Running a cell means:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,11 +145,6 @@ def run_cell(
     resume: bool = False,
     prefetch_depth: int | None = None,
     sample_workers: int | None = None,
-    soup_executor: str = "serial",
-    soup_workers: int = 4,
-    soup_transport: str = "pipe",
-    soup_nodes=None,
-    soup_eval_batch="adaptive",
     soup_cache_path=None,
 ) -> CellResult:
     """Execute one cell; ``graph``/``pool`` injectable for tests and benches.
@@ -164,18 +158,12 @@ def run_cell(
     ``nodes`` reach the shared cluster runtime, so a cell's ingredients
     can train on remote ``cluster start-worker`` nodes.
 
-    ``soup_executor``/``soup_workers``/``soup_transport``/``soup_nodes``
-    govern Phase 2: one shared candidate evaluator (see
+    In Phase 2 one shared candidate evaluator (see
     :func:`repro.soup.make_evaluator`) serves every method ×
-    soup-rotation of the cell — its worker pool and shared-memory
-    segments are spawned once, rotations attach as sub-pool views — and
-    on a parallel backend the independent (method, rotation) jobs are
-    additionally dispatched concurrently. Results are bit-identical to
-    the serial path per the evaluator's determinism contract.
-    Measurements are not: a concurrently-dispatched job's ``soup_time``
-    absorbs time spent waiting on the shared evaluator, and peak-memory
-    attribution counts only the job's own thread — use the serial
-    dispatch for paper-grade Table III / Fig. 4b numbers.
+    soup-rotation of the cell: rotations attach as sub-pool views, so
+    they share its model and score cache, which ``soup_cache_path``
+    persists across runs. Jobs run one after another, in
+    (rotation, method) order.
     """
     graph = graph if graph is not None else load_dataset(spec.dataset, seed=graph_seed)
     pool = (
@@ -212,13 +200,9 @@ def run_cell(
             seed=spec.base_seed,
         )
 
-    with make_evaluator(
-        pool, graph, backend=soup_executor, num_workers=soup_workers,
-        transport=soup_transport, nodes=soup_nodes, eval_batch=soup_eval_batch,
-        cache_path=soup_cache_path,
-    ) as shared_ev:
+    with make_evaluator(pool, graph, cache_path=soup_cache_path) as shared_ev:
         # per-rotation evaluator views (sub-pool weights zero-expand onto
-        # the shared backend); built once, reused by every method
+        # the shared evaluator); built once, reused by every method
         rotations = []
         for s in range(n_soups):
             keep = _rotation_indices(pool, s)
@@ -247,14 +231,7 @@ def run_cell(
             return SOUP_METHODS[method](subpool, graph, evaluator=ev)
 
         jobs = [(s, method) for s in range(n_soups) for method in methods]
-        if soup_executor != "serial" and soup_workers > 1 and len(jobs) > 1:
-            # independent jobs drive the shared evaluator concurrently; the
-            # evaluator serialises batches, so candidate streams from
-            # different jobs interleave onto one warm worker pool
-            with ThreadPoolExecutor(max_workers=min(soup_workers, len(jobs))) as dispatch:
-                results = list(dispatch.map(lambda job: run_one(*job), jobs))
-        else:
-            results = [run_one(s, method) for s, method in jobs]
+        results = [run_one(s, method) for s, method in jobs]
         cache_info = shared_ev.cache_info()
 
     stats = {m: MethodStats(m) for m in methods}
@@ -283,11 +260,6 @@ def run_grid(
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
     resume: bool = False,
-    soup_executor: str = "serial",
-    soup_workers: int = 4,
-    soup_transport: str = "pipe",
-    soup_nodes=None,
-    soup_eval_batch="adaptive",
 ) -> list[CellResult]:
     """Run many cells (the full paper grid is 12)."""
     results = []
@@ -307,11 +279,6 @@ def run_grid(
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 resume=resume,
-                soup_executor=soup_executor,
-                soup_workers=soup_workers,
-                soup_transport=soup_transport,
-                soup_nodes=soup_nodes,
-                soup_eval_batch=soup_eval_batch,
             )
         )
     return results

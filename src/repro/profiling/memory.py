@@ -35,8 +35,7 @@ class MemoryMeter:
 
     The alloc-hook registry is process-global, so a meter is **owned by
     the thread that entered it**: tensor allocations from other threads
-    (e.g. a concurrently-running souping method in the runner's parallel
-    dispatch) are ignored, and the counters themselves are lock-guarded
+    are ignored, and the counters themselves are lock-guarded
     because tensor finalizers run on whatever thread drops the last
     reference.
 

@@ -34,7 +34,6 @@ from ..graph.blocks import build_blocks
 from ..models import build_model
 from ..telemetry import metrics
 from ..train import evaluate_logits
-from .cache import NodeCache
 
 # no cycle: cluster.py resolves this module lazily by name (via _ROLES),
 # never at import time
@@ -200,21 +199,15 @@ class ServedModel:
 
 
 class _ServeWorkerState:
-    """Per-worker state: the served model plus a worker-local row cache.
-
-    The worker cache short-circuits the forward pass for rows this worker
-    has already computed — the driver's frontend cache catches repeats
-    across workers, this one catches repeats a single worker sees (and
-    keeps a ``start-worker`` node cheap when the same hot set is routed
-    to it). The shared-memory attachment handle is kept alive for as long
-    as the graph views borrow its buffer.
+    """Per-worker state: the served model, plus the shared-memory
+    attachment handle, kept alive for as long as the graph views borrow
+    its buffer. Repeat rows are caught by the driver's frontend cache.
     """
 
-    __slots__ = ("model", "cache", "_handle")
+    __slots__ = ("model", "_handle")
 
-    def __init__(self, model: ServedModel, cache: NodeCache, handle) -> None:
+    def __init__(self, model: ServedModel, handle) -> None:
         self.model = model
-        self.cache = cache
         self._handle = handle
 
 
@@ -228,17 +221,11 @@ def _serve_role_init(context: dict) -> _ServeWorkerState:
         context["states"],
         ensemble=context["ensemble"],
     )
-    cache = NodeCache(int(context.get("worker_cache_nodes", 0)))
-    return _ServeWorkerState(model, cache, handle)
+    return _ServeWorkerState(model, handle)
 
 
 def _serve_role_run(state: _ServeWorkerState, node_ids) -> dict[int, np.ndarray]:
-    hits, misses = state.cache.lookup(node_ids)
-    if misses:
-        computed = state.model.scores_at(misses)
-        state.cache.insert(computed)
-        hits.update(computed)
-    return hits
+    return state.model.scores_at(node_ids)
 
 
 #: The serving worker role on the shared cluster runtime, resolved by

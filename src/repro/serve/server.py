@@ -90,7 +90,7 @@ class ServeConfig:
     it may grow up to ``max_batch_cap`` under backlog pressure and decays
     back when traffic thins. ``max_wait_s`` bounds how long a lone
     request waits for company. ``cache_nodes`` sizes the frontend LRU
-    (0 disables); ``worker_cache_nodes`` sizes the per-worker row cache.
+    (0 disables).
     """
 
     backend: str = "serial"
@@ -103,7 +103,6 @@ class ServeConfig:
     max_wait_s: float = 0.002
     adaptive: bool = True
     cache_nodes: int = 4096
-    worker_cache_nodes: int = 0
     shm: bool = True
 
     def validate(self) -> "ServeConfig":
@@ -124,7 +123,6 @@ class ServeConfig:
         if int(self.cache_nodes) < 0:
             raise ValueError(f"cache_nodes cannot be negative, got {self.cache_nodes}")
         self.cache_nodes = int(self.cache_nodes)
-        self.worker_cache_nodes = max(int(self.worker_cache_nodes), 0)
         return self
 
 
@@ -269,7 +267,6 @@ class PredictionServer:
                 "model_config": dict(self._model_config),
                 "states": tuple(state_to_wire(s) for s in self._states),
                 "ensemble": self._ensemble,
-                "worker_cache_nodes": cfg.worker_cache_nodes,
             },
             width=cfg.num_workers,
             transport=cfg.backend,

@@ -10,14 +10,14 @@ ensembles. Contributions: :func:`learned_soup` (LS, Algorithm 3) and
 from .base import SoupResult, eval_state
 from .engine import (
     DEFAULT_SCORE_CACHE,
-    SOUP_EXECUTORS,
     Candidate,
     Evaluator,
-    ProcessEvaluator,
-    SerialEvaluator,
     basis_weights,
     make_evaluator,
     member_weights,
+    mix_candidate,
+    score_candidate,
+    stack_flat_states,
     uniform_weights,
 )
 from .state import (
@@ -51,15 +51,15 @@ __all__ = [
     "SoupResult",
     "eval_state",
     "DEFAULT_SCORE_CACHE",
-    "SOUP_EXECUTORS",
     "basis_weights",
     "member_weights",
     "uniform_weights",
     "Candidate",
     "Evaluator",
-    "SerialEvaluator",
-    "ProcessEvaluator",
     "make_evaluator",
+    "mix_candidate",
+    "score_candidate",
+    "stack_flat_states",
     "average",
     "interpolate",
     "weighted_sum",

@@ -61,7 +61,8 @@ def soup(
 
     ``evaluator`` is the shared candidate-evaluation engine (see
     :func:`repro.soup.engine.make_evaluator`); every registered method
-    accepts it, so one thread/process evaluator can serve a whole sweep.
+    accepts it, so one evaluator (and its score cache) can serve a whole
+    sweep.
     """
     if method not in SOUP_METHODS:
         raise KeyError(f"unknown souping method {method!r}; available: {soup_method_names()}")

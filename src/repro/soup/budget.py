@@ -13,7 +13,7 @@ first-order argument is the original Model Soups motivation).
 
 * N cached forward passes up front (one per ingredient — the floor any
   informed method pays), issued as **one evaluator batch** of
-  logits-kind candidates so they parallelise across evaluation workers;
+  logits-kind candidates;
 * greedy membership scored on the **cached-logit ensemble** at zero
   additional forward passes,
 * an optional *true-evaluation budget*: up to ``eval_budget`` forward
@@ -64,7 +64,7 @@ def radin_greedy_soup(
     with evaluation(evaluator, pool, graph) as ev:
         with instrumented("radin", pool, graph) as probe:
             # -- N caching passes: per-ingredient validation logits, as one
-            # parallel evaluator batch --------------------------------------
+            # evaluator batch ------------------------------------------------
             cached = ev.evaluate(
                 [Candidate(weights=basis_weights(n, i), split="val", kind="logits") for i in range(n)]
             )

@@ -4,37 +4,30 @@ Every Phase-2 algorithm reduces its inner loop to "score this candidate
 on a node split": GIS line-searches an interpolation-ratio grid, greedy
 souping scores tentative member sets, RADIN confirms accepted candidates,
 LS/PLS select among restarts, the extensions score per-epoch mixtures.
-This module gives all of them one :class:`Evaluator` with two backends:
-
-* ``"serial"``  — one in-process model (the default; zero overhead);
-* ``"process"`` — the :class:`~repro.distributed.eval_service.EvalService`
-  worker pool: candidates cross the process boundary as tiny weight
-  vectors and are mixed zero-copy from the pool's shared-memory flat-state
-  stack. ``transport="tcp"`` + ``nodes=["host:port", ...]`` moves those
-  workers onto other machines (see the shared cluster runtime,
-  :mod:`repro.distributed.cluster`).
+This module gives all of them one in-process :class:`Evaluator`: one
+lazily built model scores each candidate on the layered blocks of its
+node selection, so a score costs a few milliseconds of work and nothing
+else.
 
 Every evaluator additionally carries a **candidate-score cache**: scalar
 accuracies are memoized by a digest of ``(weights, groups, node
-selection)``, so a mix that has been scored once — greedy re-speculation
-after an acceptance, GIS's ``alpha = 0`` grid endpoint reproducing the
-current soup, identical candidates across an experiment cell's method ×
-rotation jobs — costs a dictionary lookup instead of a forward pass.
-Cached values are the exact floats the backend returned, so the
-determinism contract is untouched; ``cache_info()`` exposes hit/miss
-counters and ``cache_size=0`` disables the cache.
+selection)``, so a mix that has been scored once — GIS's ``alpha = 0``
+grid endpoint reproducing the current soup, identical candidates across
+an experiment cell's method × rotation jobs — costs a dictionary lookup
+instead of a forward pass. Cached values are the exact floats the
+scoring returned, so results are untouched; ``cache_info()`` exposes
+hit/miss counters and ``cache_size=0`` disables the cache.
 
 Candidates are preferentially expressed as **mix specs** — an ``[N]`` (or
 ``[N, G]`` + groups) weight vector over the ingredient pool — because
 every linear soup is one; explicit state dicts are the fallback for
 non-linear candidates (masked sparse soups, fine-tuned states).
 
-Determinism contract: all backends share one mixing kernel
-(:func:`~repro.distributed.eval_service.mix_candidate`) and one scoring
-routine, so for a fixed seed every souping method returns bit-identical
-``SoupResult.state_dict`` / ``val_acc`` across serial × process.
-Wall-time and peak-memory *measurements* naturally differ (that is the
-point); only the results are contractual.
+Determinism contract: every candidate is mixed by one kernel
+(:func:`mix_candidate`) and scored by one routine
+(:func:`score_candidate`), so for a fixed seed every souping method
+returns bit-identical ``SoupResult.state_dict`` / ``val_acc`` whether
+the score came from the model or from the cache.
 """
 
 from __future__ import annotations
@@ -50,43 +43,146 @@ from pathlib import Path
 
 import numpy as np
 
-from ..distributed.eval_service import (
-    EVAL_KINDS,
-    EvalService,
-    EvalTask,
-    mix_candidate,
-    score_candidate,
-    stack_flat_states,
-)
 from ..distributed.ingredients import IngredientPool
-from ..distributed.scheduler import _validate_num_workers
 from ..graph.graph import Graph
 from ..telemetry import current_label, metrics
+from ..train import accuracy, evaluate_logits, evaluate_rows
 
 __all__ = [
     "DEFAULT_SCORE_CACHE",
-    "SOUP_EXECUTORS",
+    "EVAL_KINDS",
     "Candidate",
     "Evaluator",
-    "SerialEvaluator",
-    "ProcessEvaluator",
     "make_evaluator",
     "evaluation",
     "basis_weights",
     "member_weights",
     "uniform_weights",
+    "mix_candidate",
+    "score_candidate",
+    "stack_flat_states",
 ]
-
-#: Evaluator backends accepted by :func:`make_evaluator` (and the
-#: ``--soup-executor`` CLI flag).
-SOUP_EXECUTORS = ("serial", "process")
 
 #: Default capacity (entries) of the evaluator-side candidate-score
 #: cache. Entries are 16-byte digests mapping to scalar accuracies, so
 #: even the full cache is a few hundred KB.
 DEFAULT_SCORE_CACHE = 8192
 
+#: Result kinds a candidate may request.
+EVAL_KINDS = ("acc", "logits")
+
 _SPLITS = ("train", "val", "test")
+
+
+def stack_flat_states(states: list[dict]) -> tuple[np.ndarray, tuple[tuple[str, tuple[int, ...]], ...]]:
+    """``([N, D] float64 stack, ((name, shape), ...))`` of a pool's states.
+
+    Row ``i`` is ingredient ``i``'s parameters flattened in state-dict
+    order — the working representation :func:`mix_candidate` operates on.
+    """
+    if not states:
+        raise ValueError("cannot stack zero states")
+    names = list(states[0].keys())
+    params = tuple(
+        (str(name), tuple(int(s) for s in np.asarray(states[0][name]).shape)) for name in names
+    )
+    flats = np.stack(
+        [
+            np.concatenate(
+                [np.ascontiguousarray(sd[name], dtype=np.float64).ravel() for name in names]
+            )
+            for sd in states
+        ]
+    )
+    return flats, params
+
+
+def mix_candidate(
+    flats: np.ndarray,
+    params: tuple[tuple[str, tuple[int, ...]], ...],
+    weights: np.ndarray,
+    groups: np.ndarray | None = None,
+) -> "OrderedDict[str, np.ndarray]":
+    """Materialise a candidate state dict from the flat-state stack.
+
+    ``weights`` is either ``[N]`` (one scalar per ingredient — Eq. (3)
+    with a single group) or ``[N, G]`` paired with ``groups``, the
+    per-parameter group-id vector (``len(params)`` entries), in which case
+    each parameter's slice is mixed with its group's weight column.
+
+    This is the one mixing kernel every candidate goes through — the
+    determinism contract rides on it.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    n, total = flats.shape
+    if weights.ndim == 1:
+        if weights.shape[0] != n:
+            raise ValueError(f"weights length {weights.shape[0]} != pool size {n}")
+        vec = weights @ flats
+    elif weights.ndim == 2:
+        if groups is None:
+            raise ValueError("[N, G] weights need the per-parameter groups vector")
+        groups = np.asarray(groups, dtype=np.int64)
+        if weights.shape[0] != n:
+            raise ValueError(f"weights rows {weights.shape[0]} != pool size {n}")
+        if len(groups) != len(params):
+            raise ValueError(f"groups length {len(groups)} != parameter count {len(params)}")
+        vec = np.empty(total, dtype=np.float64)
+        offset = 0
+        for (_name, shape), g in zip(params, groups):
+            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            vec[offset : offset + size] = weights[:, int(g)] @ flats[:, offset : offset + size]
+            offset += size
+    else:
+        raise ValueError(f"weights must be [N] or [N, G], got ndim={weights.ndim}")
+
+    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    offset = 0
+    for name, shape in params:
+        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        out[name] = vec[offset : offset + size].reshape(shape)
+        offset += size
+    if offset != total:
+        raise ValueError(f"parameter spec covers {offset} values, stack rows hold {total}")
+    return out
+
+
+def score_candidate(
+    model,
+    graph: Graph,
+    state: dict,
+    split: str | None = "val",
+    indices: np.ndarray | None = None,
+    kind: str = "acc",
+):
+    """Load ``state`` into ``model`` and score it on one node selection.
+
+    ``kind="acc"`` returns the accuracy at ``indices`` (or the named
+    ``split``); ``kind="logits"`` returns the logits there — the full
+    logits matrix when neither is given. A node selection is scored on
+    its layered blocks (:func:`~repro.train.evaluate_rows`), which compute
+    only the rows the selection depends on and give the full pass's bits.
+    The model is owned by the evaluator, so no caller-visible state is
+    mutated.
+    """
+    if kind not in EVAL_KINDS:
+        raise ValueError(f"unknown eval kind {kind!r}; choose from {EVAL_KINDS}")
+    if indices is not None:
+        idx = np.asarray(indices)
+    elif split is not None:
+        if split not in _SPLITS:
+            raise ValueError(f"unknown split {split!r}; choose from {_SPLITS}")
+        idx = {"train": graph.train_idx, "val": graph.val_idx, "test": graph.test_idx}[split]
+    elif kind == "logits":
+        model.load_state_dict(state)
+        return evaluate_logits(model, graph)
+    else:
+        raise ValueError("accuracy scoring needs a split or an indices array")
+    model.load_state_dict(state)
+    logits = evaluate_rows(model, graph, idx)
+    if kind == "logits":
+        return logits
+    return accuracy(logits, graph.labels[idx])
 
 
 def basis_weights(n: int, index: int) -> np.ndarray:
@@ -145,15 +241,13 @@ class Candidate:
 
 
 class Evaluator:
-    """Base evaluator: owns the pool's flat-state stack and a scoring lock.
+    """In-process evaluator: the pool's flat-state stack, one lazily built
+    model, the score cache and a scoring lock.
 
-    Subclasses implement ``_evaluate``; everything else — candidate
-    validation, mixing, the subset view used by leave-one-out rotations,
-    thread-safe batch submission — is shared. Evaluators own their models,
-    so no caller-held model is ever mutated by souping.
+    It validates candidates, mixes them, scores them and hands out the
+    subset views used by leave-one-out rotations. Evaluators own their
+    models, so no caller-held model is ever mutated by souping.
     """
-
-    backend = "serial"
 
     def __init__(
         self,
@@ -166,6 +260,7 @@ class Evaluator:
         self.graph = graph
         self._flats: np.ndarray | None = None
         self._params = None
+        self._model = None
         self._lock = threading.RLock()
         self._closed = False
         if isinstance(cache_size, bool) or not isinstance(cache_size, (int, np.integer)):
@@ -175,7 +270,7 @@ class Evaluator:
         self._cache_path = Path(cache_path) if cache_path else None
         self.cache_hits = 0
         self.cache_misses = 0
-        self.backend_evals = 0  # candidates actually scored by the backend
+        self.backend_evals = 0  # candidates actually scored (cache misses)
         self._load_cache()
 
     # -- pool views ----------------------------------------------------------
@@ -199,17 +294,11 @@ class Evaluator:
         self._ensure_flats()
         return self._params
 
-    @property
-    def batch_width(self) -> int:
-        """How many candidates the backend scores concurrently (speculation
-        hint for lookahead loops; 1 for the serial backend)."""
-        return 1
-
     def subset(self, indices) -> "SubsetEvaluator":
         """A view evaluating candidates over a sub-pool (e.g. a
-        leave-one-out rotation) on this evaluator's backend — sub-pool
-        weight vectors are zero-expanded to the full pool, so the shared
-        worker pool and shm segments are reused as-is."""
+        leave-one-out rotation) on this evaluator — sub-pool weight
+        vectors are zero-expanded to the full pool, so the flat-state
+        stack, the model and the score cache are reused as-is."""
         return SubsetEvaluator(self, indices)
 
     # -- mixing --------------------------------------------------------------
@@ -225,9 +314,9 @@ class Evaluator:
 
         Only scalar-accuracy mix-spec candidates are memoized: explicit
         state dicts are large and rarely repeated, and logits results are
-        whole matrices. Weights are digested in the float64 form every
-        backend mixes with, so equal-valued specs hit regardless of the
-        caller's dtype.
+        whole matrices. Weights are digested in the float64 form
+        :func:`mix_candidate` mixes with, so equal-valued specs hit
+        regardless of the caller's dtype.
         """
         if self._cache_size <= 0 or cand.state is not None or cand.kind != "acc":
             return None
@@ -259,7 +348,7 @@ class Evaluator:
         """Warm the score cache from ``cache_path`` (best-effort).
 
         Persisted entries are ``[hexdigest, value, tag]`` triples; the tag
-        restores the backend's exact scalar type (``"np"`` →
+        restores the score's exact scalar type (``"np"`` →
         ``np.float64``) so a warm-started run returns bit-identical floats
         to the run that populated the file. A corrupt or unreadable file
         degrades to an empty cache with a warning, never an error.
@@ -309,11 +398,10 @@ class Evaluator:
     def evaluate(self, candidates) -> list:
         """Score a batch of :class:`Candidate`; results in request order.
 
-        Thread-safe: concurrent method drivers (the runner's method ×
-        rotation fan-out) serialise at the batch level and share the
-        backend's worker pool across batches. Candidates whose score is
-        already cached never reach the backend; the returned floats are
-        bit-identical either way.
+        Thread-safe: concurrent callers serialise at the batch level on
+        the evaluator's lock. Candidates whose score is already cached are
+        not scored again; the returned floats are bit-identical either
+        way.
         """
         candidates = list(candidates)
         for cand in candidates:
@@ -350,7 +438,7 @@ class Evaluator:
             if missing:
                 self.backend_evals += len(missing)
                 with metrics.span(
-                    "soup.eval_batch", n=len(missing), method=current_label() or ""
+                    "soup.score_batch", n=len(missing), method=current_label() or ""
                 ):
                     scored = self._evaluate([candidates[i] for i in missing])
                 for i, value in zip(missing, scored):
@@ -374,7 +462,15 @@ class Evaluator:
             return out
 
     def _evaluate(self, candidates: list[Candidate]) -> list:
-        raise NotImplementedError
+        if self._model is None:
+            self._model = self.pool.make_model()
+        out = []
+        for cand in candidates:
+            state = cand.state if cand.state is not None else self.mix(cand.weights, cand.groups)
+            out.append(
+                score_candidate(self._model, self.graph, state, cand.split, cand.indices, cand.kind)
+            )
+        return out
 
     # -- conveniences --------------------------------------------------------
 
@@ -398,8 +494,8 @@ class Evaluator:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources and persist the score cache when a
-        ``cache_path`` was configured (idempotent)."""
+        """Persist the score cache when a ``cache_path`` was configured
+        and refuse further batches (idempotent)."""
         if not self._closed:
             self._save_cache()
         self._closed = True
@@ -411,107 +507,13 @@ class Evaluator:
         self.close()
 
 
-class SerialEvaluator(Evaluator):
-    """In-process evaluation on one lazily-built model — the default."""
-
-    backend = "serial"
-
-    def __init__(
-        self,
-        pool: IngredientPool,
-        graph: Graph,
-        cache_size: int = DEFAULT_SCORE_CACHE,
-        cache_path=None,
-    ) -> None:
-        super().__init__(pool, graph, cache_size=cache_size, cache_path=cache_path)
-        self._model = None
-
-    def _evaluate(self, candidates: list[Candidate]) -> list:
-        if self._model is None:
-            self._model = self.pool.make_model()
-        out = []
-        for cand in candidates:
-            state = cand.state if cand.state is not None else self.mix(cand.weights, cand.groups)
-            out.append(
-                score_candidate(self._model, self.graph, state, cand.split, cand.indices, cand.kind)
-            )
-        return out
-
-
-class ProcessEvaluator(Evaluator):
-    """Multiprocess evaluation through the shared-memory eval service."""
-
-    backend = "process"
-
-    def __init__(
-        self,
-        pool: IngredientPool,
-        graph: Graph,
-        num_workers: int = 4,
-        shm: bool = True,
-        transport: str = "pipe",
-        nodes=None,
-        cache_size: int = DEFAULT_SCORE_CACHE,
-        eval_batch="adaptive",
-        cache_path=None,
-    ) -> None:
-        super().__init__(pool, graph, cache_size=cache_size, cache_path=cache_path)
-        self.num_workers = _validate_num_workers(num_workers)
-        self.shm = bool(shm)
-        self.transport = transport
-        self.nodes = nodes
-        self.eval_batch = eval_batch
-        self._service: EvalService | None = None
-
-    @property
-    def batch_width(self) -> int:
-        return self.num_workers
-
-    def _ensure_service(self) -> EvalService:
-        if self._service is None:
-            self._service = EvalService(
-                self.pool.model_config,
-                self.graph,
-                self.flats,
-                self.param_spec,
-                num_workers=self.num_workers,
-                shm=self.shm,
-                transport=self.transport,
-                nodes=self.nodes,
-                eval_batch=self.eval_batch,
-            )
-        return self._service
-
-    def _evaluate(self, candidates: list[Candidate]) -> list:
-        service = self._ensure_service()
-        tasks = [
-            EvalTask(
-                req_id=i,
-                weights=None if cand.weights is None else np.asarray(cand.weights, dtype=np.float64),
-                groups=None if cand.groups is None else np.asarray(cand.groups, dtype=np.int64),
-                state=None if cand.state is None else tuple(cand.state.items()),
-                split=cand.split,
-                indices=cand.indices,
-                kind=cand.kind,
-            )
-            for i, cand in enumerate(candidates)
-        ]
-        return service.run(tasks)
-
-    def close(self) -> None:
-        super().close()
-        if self._service is not None:
-            self._service.close()
-            self._service = None
-
-
 class SubsetEvaluator(Evaluator):
     """View over a base evaluator restricted to a sub-pool.
 
     Weight vectors over the subset are zero-expanded to the base pool —
     exact in floating point (adding ``0.0 * x`` terms is lossless for
-    finite values) — so rotations share the base backend's workers and
-    shared-memory segments instead of respawning per rotation.
+    finite values) — so rotations share the base evaluator's flat-state
+    stack, model and score cache instead of building their own.
     """
 
     def __init__(self, base: Evaluator, indices) -> None:
@@ -526,11 +528,6 @@ class SubsetEvaluator(Evaluator):
         # the view delegates scoring (and therefore caching) to the base:
         # identical mixes hit one shared cache across every rotation
         super().__init__(base.pool.subset(self._indices), base.graph, cache_size=0)
-        self.backend = base.backend
-
-    @property
-    def batch_width(self) -> int:
-        return self._base.batch_width
 
     def _expand_weights(self, weights) -> np.ndarray:
         w = np.asarray(weights, dtype=np.float64)
@@ -564,68 +561,37 @@ class SubsetEvaluator(Evaluator):
         return self._base.cache_info()
 
     def close(self) -> None:
-        # a view never owns the base backend; only mark itself closed
+        # a view never owns the base evaluator; only mark itself closed
         self._closed = True
 
 
 def make_evaluator(
     pool: IngredientPool,
     graph: Graph,
-    backend: str = "serial",
-    num_workers: int = 4,
-    shm: bool = True,
-    transport: str = "pipe",
-    nodes=None,
     cache_size: int = DEFAULT_SCORE_CACHE,
-    eval_batch="adaptive",
     cache_path=None,
 ) -> Evaluator:
-    """Construct an evaluator for ``(pool, graph)`` on the chosen backend.
+    """Construct an evaluator for ``(pool, graph)``.
 
-    ``transport``/``nodes`` apply to the process backend only:
-    ``transport="tcp"`` scores candidates on socket workers — remote
-    ``python -m repro cluster start-worker`` instances listed in
-    ``nodes`` (``"host:port,host:port"`` or a sequence), or
-    driver-spawned loopback workers when no nodes are given.
     ``cache_size`` bounds the candidate-score cache (0 disables it).
     ``cache_path`` persists that cache across runs: scores load from the
     file on construction and save back on ``close()`` — a re-run of the
     same experiment cell turns repeat evaluations into lookups while
     returning bit-identical floats.
-    ``eval_batch`` (process backend) sets how many candidate evaluations
-    share one wire frame: ``"adaptive"`` (default) sizes chunks from
-    measured per-task time, an int >= 1 pins the chunk size. Batching
-    never changes results or their order — only framing.
     """
-    if backend not in SOUP_EXECUTORS:
-        raise ValueError(f"unknown soup executor {backend!r}; choose from {SOUP_EXECUTORS}")
-    num_workers = _validate_num_workers(num_workers)
-    if backend != "process" and (nodes or transport != "pipe"):
-        # never silently score locally while the caller believes remote
-        # nodes are doing the work
-        raise ValueError(
-            f"transport/nodes require backend='process', got backend={backend!r}"
-        )
-    if backend == "process":
-        return ProcessEvaluator(
-            pool, graph, num_workers=num_workers, shm=shm,
-            transport=transport, nodes=nodes, cache_size=cache_size,
-            eval_batch=eval_batch, cache_path=cache_path,
-        )
-    return SerialEvaluator(pool, graph, cache_size=cache_size, cache_path=cache_path)
+    return Evaluator(pool, graph, cache_size=cache_size, cache_path=cache_path)
 
 
 @contextlib.contextmanager
 def evaluation(evaluator: Evaluator | None, pool: IngredientPool, graph: Graph):
     """Resolve the evaluator a souping method runs on.
 
-    ``None`` (the default everywhere) builds a throwaway serial evaluator
-    — the pre-engine behaviour. A caller-provided evaluator is validated
+    ``None`` (the default everywhere) builds a throwaway evaluator. A caller-provided evaluator is validated
     against the method's pool/graph and **not** closed here: its owner
     (CLI, runner, benchmark) manages its lifetime across methods.
     """
     if evaluator is None:
-        ev = SerialEvaluator(pool, graph)
+        ev = Evaluator(pool, graph)
         try:
             yield ev
         finally:

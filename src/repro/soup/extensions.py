@@ -95,9 +95,8 @@ def ingredient_dropout_soup(
     The per-epoch holdout scores never feed back into the descent (they
     only select the best epoch), so every epoch's *unmasked* deployment
     mixture is recorded during the loop and scored afterwards as **one
-    evaluator batch** — the sampled mixtures parallelise across the
-    evaluation workers while the selection stays bit-identical to the
-    sequential loop (first strict maximum wins either way).
+    evaluator batch**; the selection is the same as scoring inside the
+    loop (first strict maximum wins either way).
     """
     cfg = cfg or DropoutSoupConfig()
     rng = np.random.default_rng(cfg.seed)

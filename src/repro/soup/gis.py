@@ -16,9 +16,7 @@ test suite asserts).
 Because every GIS soup is a running linear combination of ingredients,
 the soup is tracked as a weight vector over the pool and each
 ingredient's whole ratio grid is scored as **one evaluator batch** of mix
-specs — on the process backend the ``g`` candidate states are mixed
-zero-copy inside the workers from the shared flat-state stack, so the
-line search (the paper's scaling bottleneck) parallelises freely.
+specs, each scored on the validation rows' layered blocks only.
 """
 
 from __future__ import annotations
@@ -27,89 +25,36 @@ import numpy as np
 
 from ..distributed.ingredients import IngredientPool
 from ..graph.graph import Graph
-from ..graph.sampling import khop_subgraph
 from .base import SoupResult, instrumented
 from .engine import Candidate, Evaluator, basis_weights, evaluation
 
 __all__ = ["gis_soup"]
 
 
-def _batched_val_evaluator(model, graph: Graph, batch_size: int):
-    """Exact minibatched validation accuracy (k-hop blocks per batch).
-
-    §II-B notes GIS's memory can be bounded by "traditional minibatching"
-    at the cost of extra time. Each validation batch is evaluated on its
-    full L-hop induced neighbourhood, so accuracy is *identical* to the
-    full-graph pass — only the peak activation footprint changes (and the
-    wall time grows, as the paper observes). This path stays in-process:
-    its point is the bounded-memory trade-off, not throughput.
-    """
-    val_idx = graph.val_idx
-    hops = getattr(model, "num_layers", 2)
-    batches = [val_idx[i : i + batch_size] for i in range(0, len(val_idx), batch_size)]
-    blocks = []
-    for batch in batches:
-        nodes = khop_subgraph(graph.csr, batch, hops=hops, fanout=None)
-        sub = graph.subgraph(nodes)
-        positions = np.searchsorted(nodes, batch)
-        blocks.append((sub, positions, graph.labels[batch]))
-
-    from ..train import evaluate_logits
-
-    def val_acc_of(state: dict) -> float:
-        model.load_state_dict(state)
-        correct = total = 0
-        for sub, positions, labels in blocks:
-            logits = evaluate_logits(model, sub)
-            correct += int((logits[positions].argmax(axis=1) == labels).sum())
-            total += len(labels)
-        return correct / total if total else 0.0
-
-    return val_acc_of
-
-
 def gis_soup(
     pool: IngredientPool,
     graph: Graph,
     granularity: int = 20,
-    val_batch_size: int | None = None,
     evaluator: Evaluator | None = None,
 ) -> SoupResult:
-    """Algorithm 2 with ``granularity`` interpolation ratios per ingredient.
-
-    ``val_batch_size`` switches the validation evaluation to exact k-hop
-    minibatching (bounded memory, more time — the §II-B trade-off).
-    """
+    """Algorithm 2 with ``granularity`` interpolation ratios per ingredient."""
     if granularity < 2:
         raise ValueError("granularity must be >= 2 (need at least {0, 1})")
-    if val_batch_size is not None and val_batch_size < 1:
-        raise ValueError("val_batch_size must be positive")
     n = len(pool)
     ratios = np.linspace(0.0, 1.0, granularity)
 
     with evaluation(evaluator, pool, graph) as ev:
-        if val_batch_size is not None:
-            batched_scorer = _batched_val_evaluator(pool.make_model(), graph, val_batch_size)
-
-            def eval_weight_batch(weight_list: list[np.ndarray]) -> list[float]:
-                return [batched_scorer(ev.mix(w)) for w in weight_list]
-
-        else:
-
-            def eval_weight_batch(weight_list: list[np.ndarray]) -> list[float]:
-                return ev.evaluate([Candidate(weights=w, split="val") for w in weight_list])
-
         forward_passes = 0
         with instrumented("gis", pool, graph) as probe:
             order = pool.order_by_val()
             soup_w = basis_weights(n, int(order[0]))
-            soup_val = eval_weight_batch([soup_w])[0]
+            soup_val = ev.accuracy_of(weights=soup_w)
             forward_passes += 1
             chosen_ratios: list[float] = []
             for idx in order[1:]:
                 ingredient_w = basis_weights(n, int(idx))
                 grid = [(1.0 - alpha) * soup_w + alpha * ingredient_w for alpha in ratios]
-                accs = eval_weight_batch(grid)
+                accs = ev.evaluate([Candidate(weights=w, split="val") for w in grid])
                 forward_passes += granularity
                 best_alpha, best_val, best_w = 0.0, soup_val, soup_w
                 for alpha, cand_w, cand_val in zip(ratios, grid, accs):
@@ -119,11 +64,7 @@ def gis_soup(
                 chosen_ratios.append(best_alpha)
             soup = ev.mix(soup_w)
             probe.track_state_dict(soup)
-        test_acc = (
-            ev.accuracy_of(weights=soup_w, split="test")
-            if val_batch_size is None
-            else ev.accuracy_of(state=soup, split="test")
-        )
+        test_acc = ev.accuracy_of(weights=soup_w, split="test")
 
     return SoupResult(
         method="gis",
@@ -137,7 +78,6 @@ def gis_soup(
             "chosen_ratios": chosen_ratios,
             "forward_passes": forward_passes,
             "n_ingredients": n,
-            "val_batch_size": val_batch_size,
             "soup_weights": soup_w,
         },
     )

@@ -4,14 +4,6 @@ Sort ingredients by validation accuracy; iterate best-first, adding an
 ingredient to the soup whenever the *uniform average of the tentative
 members* does not hurt validation accuracy. Unlike GIS there is no
 interpolation-ratio search — membership is all-or-nothing.
-
-Through the shared evaluation engine the per-step lookahead becomes a
-*speculative batch*: the next ``batch_width`` candidate additions are
-scored together under the assumption that none is accepted; the first
-acceptance invalidates the rest of the batch (the soup changed), which is
-discarded and re-speculated. Acceptance decisions are therefore
-bit-identical to the sequential loop — parallel backends only trade some
-wasted speculative evaluations for wall-clock.
 """
 
 from __future__ import annotations
@@ -19,7 +11,7 @@ from __future__ import annotations
 from ..distributed.ingredients import IngredientPool
 from ..graph.graph import Graph
 from .base import SoupResult, instrumented
-from .engine import Candidate, Evaluator, evaluation, member_weights
+from .engine import Evaluator, evaluation, member_weights
 
 __all__ = ["greedy_soup"]
 
@@ -28,28 +20,14 @@ def greedy_soup(pool: IngredientPool, graph: Graph, evaluator: Evaluator | None 
     """Algorithm 1: accuracy-ordered greedy membership with uniform mixing."""
     n = len(pool)
     with evaluation(evaluator, pool, graph) as ev:
-        lookahead = max(1, ev.batch_width)
         with instrumented("greedy", pool, graph) as probe:
             order = [int(i) for i in pool.order_by_val()]
             members: list[int] = [order[0]]
             best_val = ev.accuracy_of(weights=member_weights(n, members))
-            remaining = order[1:]
-            pos = 0
-            while pos < len(remaining):
-                chunk = remaining[pos : pos + lookahead]
-                accs = ev.evaluate(
-                    [
-                        Candidate(weights=member_weights(n, members + [idx]), split="val")
-                        for idx in chunk
-                    ]
-                )
-                for idx, acc in zip(chunk, accs):
-                    pos += 1
-                    if acc >= best_val:
-                        # the soup changed: later speculative scores assumed
-                        # the old members and are stale — re-speculate
-                        members, best_val = members + [idx], acc
-                        break
+            for idx in order[1:]:
+                acc = ev.accuracy_of(weights=member_weights(n, members + [idx]))
+                if acc >= best_val:
+                    members, best_val = members + [idx], acc
             soup_state = ev.mix(member_weights(n, members))
             probe.track_state_dict(soup_state)
         test_acc = ev.accuracy_of(weights=member_weights(n, members), split="test")

@@ -51,7 +51,8 @@ class TestParser:
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["train", "gcn", "flickr", *flags])
-        for flags in (["--soup-executor", "thread"], ["--soup-shards", "2"]):
+        # Phase 2 runs in-process: the retired evaluator flags are gone
+        for flags in (["--soup-workers", "2"], ["--soup-nodes", "h:1"], ["--soup-shards", "2"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["soup", "us", "gcn", "flickr", *flags])
 

@@ -1,18 +1,20 @@
 """Unified cluster runtime: tcp transport, cross-transport determinism.
 
-The acceptance contract under test: the Phase-1 pool and Phase-2 soups
-are bit-identical whether the workers sit behind the same-host ``pipe``
-transport or the multi-host ``tcp`` transport (loopback workers here) —
-and both phases run on the *same* shared worker-service core
-(:mod:`repro.distributed.cluster`), with worker-death/lost-task recovery
-over sockets.
+The acceptance contract under test: the Phase-1 pool and served
+predictions are bit-identical whether the workers sit behind the
+same-host ``pipe`` transport or the multi-host ``tcp`` transport
+(loopback workers here) — and both run on the *same* shared
+worker-service core (:mod:`repro.distributed.cluster`), with
+worker-death/lost-task recovery over sockets.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue
+import signal
 import socket
 import struct
 import time
@@ -38,9 +40,10 @@ from repro.distributed.cluster import (
     run_worker,
 )
 from repro.distributed.wire import decode_frame
-from repro.soup import gis_soup, greedy_soup, make_evaluator
+from repro.serve import PredictionServer, ServeClient, ServeConfig
+from repro.soup import soup
 from repro.telemetry import metrics
-from repro.train import TrainConfig
+from repro.train import TrainConfig, evaluate_logits
 
 KW = dict(train_cfg=TrainConfig(epochs=4, lr=0.05), base_seed=3, hidden_dim=8)
 
@@ -61,11 +64,17 @@ def _states_equal(a: list[dict], b: list[dict]) -> bool:
     )
 
 
-def assert_results_identical(a, b):
-    for name in a.state_dict:
-        np.testing.assert_array_equal(a.state_dict[name], b.state_dict[name])
-    assert a.val_acc == b.val_acc
-    assert a.test_acc == b.test_acc
+def served_soup(pool, graph):
+    """A uniform soup of ``pool`` and its full-graph reference logits."""
+    state = soup("us", pool, graph).state_dict
+    model = pool.make_model()
+    model.load_state_dict(state)
+    return state, evaluate_logits(model, graph)
+
+
+def tcp_server(pool, graph, state, nodes) -> PredictionServer:
+    config = ServeConfig(backend="tcp", nodes=nodes, cache_nodes=0, max_wait_s=0.001)
+    return PredictionServer(pool.model_config, graph, [state], config=config)
 
 
 @pytest.fixture(scope="module")
@@ -133,21 +142,13 @@ class TestPhase1TcpDeterminism:
                 proc.terminate()
 
 
-class TestPhase2TcpDeterminism:
-    """Souping through the process evaluator over tcp: bit-identical."""
-
-    def test_soup_methods_tcp_loopback(self, gcn_pool, tiny_graph):
-        ref_gis = gis_soup(gcn_pool, tiny_graph, granularity=5)
-        ref_greedy = greedy_soup(gcn_pool, tiny_graph)
-        with make_evaluator(
-            gcn_pool, tiny_graph, backend="process", num_workers=2, transport="tcp"
-        ) as ev:
-            assert_results_identical(ref_gis, gis_soup(gcn_pool, tiny_graph, granularity=5, evaluator=ev))
-            assert_results_identical(ref_greedy, greedy_soup(gcn_pool, tiny_graph, evaluator=ev))
+class TestRemoteNodes:
+    """Remote ``cluster start-worker`` nodes behind the tcp transport."""
 
     def test_same_workers_serve_both_phases(self, tiny_graph, serial_pool, tmp_path):
-        """A start-worker is phase-agnostic: the role ships at handshake,
-        so the same long-lived servers train a pool and then score soups."""
+        """A start-worker is role-agnostic: the role ships at handshake,
+        so the same long-lived servers train a pool and then serve its
+        soup."""
         procs, nodes = start_workers(tmp_path, 2)
         try:
             pool = train_ingredients(
@@ -155,11 +156,12 @@ class TestPhase2TcpDeterminism:
                 nodes=nodes, **KW,
             )
             assert_pools_identical(serial_pool, pool)
-            ref = greedy_soup(pool, tiny_graph)
-            with make_evaluator(
-                pool, tiny_graph, backend="process", transport="tcp", nodes=nodes
-            ) as ev:
-                assert_results_identical(ref, greedy_soup(pool, tiny_graph, evaluator=ev))
+            state, ref = served_soup(pool, tiny_graph)
+            with tcp_server(pool, tiny_graph, state, nodes) as srv:
+                srv.start()
+                with ServeClient(*srv.address) as client:
+                    ids = list(range(40))
+                    assert np.array_equal(client.predict(ids), ref[ids])
         finally:
             for proc in procs:
                 proc.terminate()
@@ -167,43 +169,43 @@ class TestPhase2TcpDeterminism:
     def test_node_death_lost_task_recovery(self, gcn_pool, tiny_graph, tmp_path):
         """Killing a remote node mid-service loses a worker the driver
         cannot respawn: its tasks must be recovered onto the survivor and
-        every batch still complete with bit-identical scores."""
+        every request still answered with bit-identical rows."""
+        state, ref = served_soup(gcn_pool, tiny_graph)
         procs, nodes = start_workers(tmp_path, 2)
-        serial_scores = None
         try:
-            with make_evaluator(gcn_pool, tiny_graph) as serial_ev:
-                serial_scores = serial_ev.final_scores(
-                    weights=np.full(len(gcn_pool), 1.0 / len(gcn_pool))
-                )
-            # cache off: every evaluation must actually cross the wire
-            with make_evaluator(
-                gcn_pool, tiny_graph, backend="process", transport="tcp",
-                nodes=nodes, cache_size=0,
-            ) as ev:
-                before = ev.final_scores(weights=np.full(len(gcn_pool), 1.0 / len(gcn_pool)))
-                assert before == serial_scores
-                procs[0].terminate()
-                procs[0].join()
-                after = ev.final_scores(weights=np.full(len(gcn_pool), 1.0 / len(gcn_pool)))
-                assert after == serial_scores
-                # a whole greedy run on the surviving worker still matches
-                ref = greedy_soup(gcn_pool, tiny_graph)
-                assert_results_identical(ref, greedy_soup(gcn_pool, tiny_graph, evaluator=ev))
+            with tcp_server(gcn_pool, tiny_graph, state, nodes) as srv:
+                srv.start()
+                with ServeClient(*srv.address, timeout=60.0) as client:
+                    assert np.array_equal(client.predict([0, 1]), ref[[0, 1]])
+                    # an idle pool dispatches to its first worker, node 0:
+                    # stopped, it holds the flush unread until it is killed
+                    os.kill(procs[0].pid, signal.SIGSTOP)
+                    rid = client.predict_async(list(range(10, 50)))
+                    node0 = srv._backend.transport._workers[0]
+                    deadline = time.monotonic() + 30
+                    while node0.busy_rid is None:
+                        assert time.monotonic() < deadline, "the flush never reached node 0"
+                        time.sleep(0.01)
+                    procs[0].kill()
+                    procs[0].join()
+                    assert np.array_equal(client.collect(rid), ref[10:50])
+                    for start in range(50, 130, 20):
+                        ids = list(range(start, start + 20))
+                        assert np.array_equal(client.predict(ids), ref[ids])
         finally:
             for proc in procs:
-                proc.terminate()
+                proc.kill()
 
 
 class TestFallbackPayloadPush:
-    def test_unreachable_shm_falls_back_to_serialized_payload(self, gcn_pool, tiny_graph):
+    def test_unreachable_shm_falls_back_to_serialized_payload(self, tiny_graph):
         """A worker that cannot attach the driver's shm segment (the
         cross-node case, simulated with a bogus segment name) reports
-        init-error and receives the serialized graph/pool payload once."""
-        from repro.distributed.eval_service import EvalTask, stack_flat_states
+        init-error and receives the serialized graph payload once."""
+        from repro.distributed.ingredients import IngredientTask, _run_task
         from repro.distributed.shm import _graph_to_payload
         from repro.distributed.shm import SharedGraphSpec
 
-        flats, params = stack_flat_states(gcn_pool.states)
         bogus_ref = {
             "kind": "shm",
             "spec": SharedGraphSpec(
@@ -211,30 +213,29 @@ class TestFallbackPayloadPush:
                 num_nodes=0, num_classes=1, graph_name="bogus",
             ),
         }
-        arrays_pool = {"kind": "arrays", "flats": flats, "params": params}
-        context = {
-            "graph_ref": bogus_ref,
-            "pool_ref": arrays_pool,
-            "model_config": dict(gcn_pool.model_config),
-        }
-        fallback = {
-            "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(tiny_graph)},
-            "pool_ref": arrays_pool,
-            "model_config": dict(gcn_pool.model_config),
-        }
-        uniform = np.full(len(gcn_pool), 1.0 / len(gcn_pool))
+        context = {"graph_ref": bogus_ref}
+        fallback = {"graph_ref": {"kind": "arrays", "payload": _graph_to_payload(tiny_graph)}}
+        task = IngredientTask(
+            index=0,
+            model_config=dict(
+                arch="gcn", in_dim=tiny_graph.feature_dim, out_dim=tiny_graph.num_classes,
+                hidden_dim=8, seed=3,
+            ),
+            train_cfg=KW["train_cfg"],
+            seed=11,
+        )
         service = ClusterService(
-            TcpTransport("eval", context, fallback_context=fallback, spawn_local=1)
+            TcpTransport("ingredients", context, fallback_context=fallback, spawn_local=1)
         )
         try:
-            results, exhausted = service.run(
-                [0], lambda key, attempt: EvalTask(weights=uniform)
-            )
+            results, exhausted = service.run([0], lambda key, attempt: (task, False, False))
         finally:
             service.close()
         assert exhausted == []
-        with make_evaluator(gcn_pool, tiny_graph) as serial_ev:
-            assert results[0] == serial_ev.accuracy_of(weights=uniform)
+        # the handshake shipped the graph arrays: the fallback was pushed
+        assert service.transport.payload_bytes[0] > tiny_graph.features.nbytes
+        expected = _run_task(task, tiny_graph, inject=False)
+        assert _states_equal([results[0].state_dict], [expected.state_dict])
 
 
 class TestValidationAndStructure:
@@ -260,14 +261,6 @@ class TestValidationAndStructure:
                 transport="tcp", queue="rounds", **KW,
             )
 
-    def test_evaluator_nodes_require_process_backend(self, gcn_pool, tiny_graph):
-        """--soup-nodes with a non-process backend must error, never
-        silently score locally while the user believes nodes are working."""
-        with pytest.raises(ValueError, match="process"):
-            make_evaluator(gcn_pool, tiny_graph, backend="serial", nodes="h:1")
-        with pytest.raises(ValueError, match="process"):
-            make_evaluator(gcn_pool, tiny_graph, backend="serial", transport="tcp")
-
     def test_parse_nodes(self):
         assert parse_nodes(None) is None
         assert parse_nodes("") is None
@@ -277,17 +270,19 @@ class TestValidationAndStructure:
             parse_nodes("no-port")
 
     def test_both_phases_share_the_cluster_core(self):
-        """The acceptance criterion: neither module owns a private copy of
-        the claim/done protocol anymore — both resolve to the shared
-        cluster service and register roles on it."""
-        from repro.distributed import cluster, eval_service, ingredients
+        """Phase 1 and serving own no private copy of the claim/done
+        protocol: both resolve to the shared cluster service and register
+        roles on it. Phase 2 has no worker role: souping runs in the
+        driver."""
+        from repro.distributed import cluster, ingredients
+        from repro.serve import model, server
 
         assert not hasattr(ingredients, "_pool_worker_main")
-        assert not hasattr(eval_service, "_eval_worker_main")
         assert ingredients.open_service is cluster.open_service
-        assert eval_service.open_service is cluster.open_service
+        assert server.open_service is cluster.open_service
         assert cluster.resolve_role("ingredients") is ingredients.INGREDIENT_ROLE
-        assert cluster.resolve_role("eval") is eval_service.EVAL_ROLE
+        assert cluster.resolve_role("serve") is model.SERVE_ROLE
+        assert sorted(cluster._ROLES) == ["ingredients", "serve"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A pool whose workers always die must end in :class:`WorkerLossError`
 within bounded time, never spin; a batch that aborts must not leak its
 late frames into the next batch that reuses its keys; ``close()`` returns
-within a fixed bound whether the workers are idle, mid-batch or blocked
-in a task; and the service :func:`open_service` builds gives host-only
+within a fixed bound, over pipe and tcp, whether the workers are idle,
+mid-batch or blocked in a task; and the service :func:`open_service` builds gives host-only
 context entries only to workers on the driver's host and unlinks its
 segments on close.
 
@@ -27,20 +27,14 @@ import pytest
 from repro.distributed import (
     ClusterError,
     ClusterService,
-    EvalService,
-    EvalTask,
     PipeTransport,
     TcpTransport,
     WorkerLossError,
     WorkerRole,
-    mix_candidate,
     register_role,
-    score_candidate,
-    stack_flat_states,
 )
 from repro.distributed import cluster
 from repro.distributed.cluster import open_service
-from repro.distributed.eval_service import EVAL_ROLE
 from repro.telemetry import metrics
 
 #: Seconds a doomed pool may take to give up (it takes well under one).
@@ -49,7 +43,7 @@ BOUND_S = 20.0
 #: Seconds ``ClusterService.close()`` may take, whatever its workers do.
 CLOSE_BOUND_S = 3.0
 
-#: A fork-context ``Event`` the gated roles wait on, set per test (workers
+#: A fork-context ``Event`` the gated role waits on, set per test (workers
 #: inherit it through fork); ``None`` outside those tests.
 _GATE = None
 
@@ -58,12 +52,13 @@ def _exit_now(*_args):
     os._exit(17)
 
 
-def _gated_eval_run(state, task):
-    """The eval role, holding each result until the gate opens; a task
-    that raises reports at once."""
-    result = EVAL_ROLE.run(state, task)
+def _gated_run(_state, payload):
+    """``payload`` as a float row, held until the gate opens; a negative
+    payload raises at once."""
+    if payload < 0:
+        raise ValueError(f"negative payload {payload}")
     _GATE.wait(BOUND_S)
-    return result
+    return np.full(3, float(payload))
 
 
 def _sleep_run(_state, seconds):
@@ -78,14 +73,14 @@ def _block_run(_state, payload):
 
 DIE_AT_INIT = WorkerRole(name="die-at-init", init=_exit_now, run=lambda _state, payload: payload)
 DIE_AT_RUN = WorkerRole(name="die-at-run", init=lambda _context: None, run=_exit_now)
-GATED_EVAL = WorkerRole(name="eval", init=EVAL_ROLE.init, run=_gated_eval_run)
+GATED = WorkerRole(name="gated", init=lambda _context: None, run=_gated_run)
 SLEEP = WorkerRole(name="sleep", init=lambda _context: None, run=_sleep_run)
 BLOCK = WorkerRole(name="block", init=lambda _context: None, run=_block_run)
 
 
 @pytest.fixture(autouse=True, scope="module")
 def worker_roles():
-    names = ("die-at-init", "die-at-run", "sleep", "block")
+    names = ("die-at-init", "die-at-run", "gated", "sleep", "block")
     for name in names:
         register_role(name, __name__, name.upper().replace("-", "_"))
     yield
@@ -140,7 +135,7 @@ class TestWorkerLoss:
 
 
 class TestStaleFramesAcrossBatches:
-    def test_aborted_batch_does_not_leak_into_the_next(self, gcn_pool, tiny_graph, gate, monkeypatch):
+    def test_aborted_batch_does_not_leak_into_the_next(self, gate):
         """One worker, so batch 1's second task is still queued when its
         first task's error aborts the batch: the worker then runs it and
         its frames arrive during batch 2, which reuses keys 0 and 1.
@@ -150,37 +145,43 @@ class TestStaleFramesAcrossBatches:
         finish task 1 while the driver was still draining task 0's error,
         so both of task 1's frames landed in batch 1 and none was stale.
         """
-        monkeypatch.setitem(cluster._ROLES, "eval", (__name__, "GATED_EVAL"))
-        flats, params = stack_flat_states(gcn_pool.states)
-        n = len(gcn_pool)
-        first = [np.ones(n + 5), np.full(n, 1.0 / n)]  # key 0 explodes in the worker
-        second = [np.eye(n)[0], np.eye(n)[n - 1]]
+        first = {0: -1, 1: 10}  # key 0 raises in the worker
+        second = {0: 20, 1: 30}
         metrics.reset()
         metrics.set_enabled(True)
         try:
-            with EvalService(
-                gcn_pool.model_config, tiny_graph, flats, params,
-                num_workers=1, shm=False, eval_batch=1,
-            ) as service:
+            with ClusterService(PipeTransport("gated", {}, width=1)) as service:
                 with pytest.raises(ClusterError, match="raised unexpectedly"):
-                    service.run([EvalTask(weights=w, kind="logits") for w in first])
+                    service.run(list(first), lambda key, _attempt: first[key])
                 gate.set()
-                scores = service.run([EvalTask(weights=w, kind="logits") for w in second])
+                results, exhausted = service.run(list(second), lambda key, _attempt: second[key])
             stale = metrics.counter_value("cluster.stale_messages")
         finally:
             metrics.set_enabled(False)
             metrics.reset()
         assert stale >= 1
-        model = gcn_pool.make_model()
-        for w, got in zip(second, scores):
-            expected = score_candidate(
-                model, tiny_graph, mix_candidate(flats, params, w), "val", None, "logits"
-            )
-            assert np.array_equal(got, expected)
+        assert exhausted == []
+        assert sorted(results) == [0, 1]
+        for key, payload in second.items():
+            assert np.array_equal(results[key], np.full(3, float(payload)))
 
 
 class TestCloseIsBounded:
-    """``close()`` returns within :data:`CLOSE_BOUND_S` on a pipe service."""
+    """``close()`` returns within :data:`CLOSE_BOUND_S` on a pipe service;
+    :class:`TestCloseIsBoundedTcp` runs the same cases over tcp."""
+
+    transport = "pipe"
+
+    def _service(self, role: str) -> ClusterService:
+        if self.transport == "tcp":
+            return ClusterService(TcpTransport(role, {}, spawn_local=2))
+        return ClusterService(PipeTransport(role, {}, width=2))
+
+    def _procs(self, service) -> list:
+        workers = service.transport._workers.values()
+        if self.transport == "tcp":
+            return [worker.proc for worker in workers]
+        return list(workers)
 
     def _timed_close(self, service) -> float:
         started = time.monotonic()
@@ -192,35 +193,42 @@ class TestCloseIsBounded:
         assert not any(proc.is_alive() for proc in procs)
 
     def test_idle(self):
-        service = ClusterService(PipeTransport("sleep", {}, width=2))
+        service = self._service("sleep")
         results, _ = service.run([0, 1], lambda key, _attempt: 0.0)
         assert results == {0: 0.0, 1: 0.0}
-        procs = list(service.transport._workers.values())
+        procs = self._procs(service)
         assert self._timed_close(service) < CLOSE_BOUND_S
         self._assert_workers_gone(service, procs)
 
     def test_mid_batch(self):
-        service = ClusterService(PipeTransport("sleep", {}, width=2))
+        service = self._service("sleep")
         for key in range(8):
             service.submit(key, 0.2)
         deadline = time.monotonic() + BOUND_S
         while not service.transport._workers or not any(service._in_flight.values()):
             assert time.monotonic() < deadline
             service.poll(0.05)  # until a worker has claimed a task
-        procs = list(service.transport._workers.values())
+        procs = self._procs(service)
         assert self._timed_close(service) < CLOSE_BOUND_S
         self._assert_workers_gone(service, procs)
 
     def test_worker_blocked_in_a_task(self):
-        service = ClusterService(PipeTransport("block", {}, width=2))
+        service = self._service("block")
         service.submit("stuck", None)
+        service.submit("stuck-too", None)
         deadline = time.monotonic() + BOUND_S
-        while "stuck" not in [t.key for t in service._in_flight.values() if t is not None]:
+        while len([t for t in service._in_flight.values() if t is not None]) < 2:
             assert time.monotonic() < deadline
             service.poll(0.05)
-        procs = list(service.transport._workers.values())
+        procs = self._procs(service)
         assert self._timed_close(service) < CLOSE_BOUND_S
         self._assert_workers_gone(service, procs)
+
+
+class TestCloseIsBoundedTcp(TestCloseIsBounded):
+    """The same cases over loopback tcp workers."""
+
+    transport = "tcp"
 
 
 class TestOpenService:
@@ -246,15 +254,9 @@ class TestOpenService:
         finally:
             service.close()
 
-    def test_close_unlinks_the_segments(self, gcn_pool, tiny_graph):
-        flats, params = stack_flat_states(gcn_pool.states)
-        service = open_service(
-            "eval", tiny_graph, {"model_config": dict(gcn_pool.model_config)},
-            width=1, pool=(flats, params),
-        )
-        context = service.transport._context
-        names = [context[ref]["spec"].shm_name for ref in ("graph_ref", "pool_ref")]
+    def test_close_unlinks_the_segments(self, tiny_graph):
+        service = open_service("ingredients", tiny_graph, {}, width=1)
+        name = service.transport._context["graph_ref"]["spec"].shm_name
         service.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)

@@ -81,6 +81,13 @@ class TestExecutorEquivalence:
         with pytest.raises(ValueError, match="integer"):
             train_ingredients("gcn", tiny_graph, 1, num_workers=2.5, **KW)
 
+    @pytest.mark.parametrize("bad", [True, False, "4", None])
+    def test_non_integer_worker_count_rejected(self, tiny_graph, bad):
+        """`True` used to slip through as num_workers=1: the scheduler's
+        strict integer rule rejects booleans and non-numbers too."""
+        with pytest.raises(ValueError, match="integer"):
+            train_ingredients("gcn", tiny_graph, 1, num_workers=bad, **KW)
+
 
 class TestExecutionMatrix:
     """The full determinism matrix of the acceptance contract: the pool is

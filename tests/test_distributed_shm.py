@@ -16,20 +16,10 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.distributed import (
-    EvalService,
-    EvalTask,
-    SharedGraphBuffer,
-    SharedPoolBuffer,
-    attach_graph,
-    attach_pool,
-    mix_candidate,
-    score_candidate,
-    stack_flat_states,
-)
+from repro.distributed import SharedGraphBuffer, attach_graph, train_ingredients
 from repro.serve import PredictionServer, ServeClient, ServeConfig
 from repro.soup import soup
-from repro.train import evaluate_logits
+from repro.train import TrainConfig, evaluate_logits
 
 
 class TestSharedGraphBuffer:
@@ -97,49 +87,6 @@ class TestSharedGraphBuffer:
             np.testing.assert_array_equal(second.graph.features, tiny_graph.features)
 
 
-class TestSharedPoolBuffer:
-    """The Phase-2 pool transport: [N, D] flat states through one segment."""
-
-    def test_round_trip_bit_identical(self, gcn_pool):
-        flats, params = stack_flat_states(gcn_pool.states)
-        with SharedPoolBuffer.create(flats, params) as buf:
-            handle = attach_pool(buf.spec)
-            np.testing.assert_array_equal(handle.flats, flats)
-            assert handle.spec.params == params
-
-    def test_attached_view_is_zero_copy(self, gcn_pool):
-        flats, params = stack_flat_states(gcn_pool.states)
-        with SharedPoolBuffer.create(flats, params) as buf:
-            handle = attach_pool(buf.spec)
-            assert not handle.flats.flags.owndata
-
-    def test_spec_is_small_and_picklable(self, gcn_pool):
-        flats, params = stack_flat_states(gcn_pool.states)
-        with SharedPoolBuffer.create(flats, params) as buf:
-            payload = pickle.dumps(buf.spec)
-            assert len(payload) < 8192
-            spec = pickle.loads(payload)
-            assert spec.shape == flats.shape
-            assert spec.nbytes == flats.nbytes
-
-    def test_unlink_is_idempotent(self, gcn_pool):
-        flats, params = stack_flat_states(gcn_pool.states)
-        buf = SharedPoolBuffer.create(flats, params)
-        buf.unlink()
-        buf.unlink()  # no-op
-
-    def test_segment_released_on_context_exit(self, gcn_pool):
-        flats, params = stack_flat_states(gcn_pool.states)
-        with SharedPoolBuffer.create(flats, params) as buf:
-            spec = buf.spec
-        with pytest.raises(FileNotFoundError):
-            attach_pool(spec)
-
-    def test_non_matrix_stack_rejected(self):
-        with pytest.raises(ValueError, match=r"\[N, D\]"):
-            SharedPoolBuffer.create(np.zeros(5), ())
-
-
 class TestSegmentCreationFailure:
     """A platform whose shared memory refuses new segments: the driver
     warns and ships the graph as pickled arrays, and every role still
@@ -156,22 +103,17 @@ class TestSegmentCreationFailure:
 
         monkeypatch.setattr(shared_memory, "SharedMemory", refuse_create)
 
-    def test_eval_role_uses_arrays(self, no_segments, gcn_pool, tiny_graph):
-        flats, params = stack_flat_states(gcn_pool.states)
-        n = len(gcn_pool)
-        weights = [np.full(n, 1.0 / n), np.eye(n)[0]]
+    def test_ingredients_role_uses_arrays(self, no_segments, tiny_graph):
+        kw = dict(train_cfg=TrainConfig(epochs=3, lr=0.05), base_seed=3, hidden_dim=8)
+        serial = train_ingredients("gcn", tiny_graph, 2, **kw)
         with pytest.warns(RuntimeWarning, match="shared-memory"):
-            service = EvalService(
-                gcn_pool.model_config, tiny_graph, flats, params, num_workers=2, shm=True
+            pool = train_ingredients(
+                "gcn", tiny_graph, 2, executor="process", num_workers=2, shm=True, **kw
             )
-        with service:
-            scores = service.run([EvalTask(weights=w, kind="logits") for w in weights])
-        model = gcn_pool.make_model()
-        for w, got in zip(weights, scores):
-            expected = score_candidate(
-                model, tiny_graph, mix_candidate(flats, params, w), "val", None, "logits"
-            )
-            assert np.array_equal(got, expected)
+        for a, b in zip(serial.states, pool.states):
+            for name in a:
+                assert np.array_equal(a[name], b[name]), name
+        assert serial.val_accs == pool.val_accs
 
     def test_serve_role_uses_arrays(self, no_segments, gcn_pool, tiny_graph):
         state = soup("us", gcn_pool, tiny_graph).state_dict

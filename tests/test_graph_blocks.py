@@ -19,14 +19,21 @@ from hypothesis import given, settings, strategies as st
 
 import repro.graph.blocks as graph_blocks
 from repro.distributed import train_ingredients
-from repro.distributed.eval_service import score_candidate
 from repro.graph import Graph, GeneratorConfig, edges_to_csr, homophilous_graph, partition_graph
 from repro.graph.csr import row_slice_index
 from repro.models import build_model
-from repro.soup import PLSConfig, SoupConfig, gis_soup, learned_soup, make_evaluator, partition_learned_soup
+from repro.soup import (
+    PLSConfig,
+    SoupConfig,
+    gis_soup,
+    learned_soup,
+    make_evaluator,
+    partition_learned_soup,
+    score_candidate,
+)
 from repro.soup.engine import Candidate
 from repro.tensor import no_grad
-from repro.train import TrainConfig, evaluate_logits, evaluate_rows
+from repro.train import TrainConfig, accuracy, evaluate_logits, evaluate_rows
 
 ARCHS = ("sage", "gcn", "gin", "gat", "mlp")
 
@@ -280,8 +287,8 @@ class TestSoupsMatchFullGraph:
             assert b.test_acc == f.test_acc
 
 
-class TestEvaluatorBackends:
-    def test_serial_and_process_score_blocks_identically(self, sparse_graph, sparse_pool):
+class TestEvaluatorOnBlocks:
+    def test_scores_match_the_full_pass(self, sparse_graph, sparse_pool):
         n = len(sparse_pool)
         rows = np.array([sparse_graph.test_idx[5], sparse_graph.val_idx[0], sparse_graph.test_idx[5]])
         candidates = [
@@ -290,14 +297,13 @@ class TestEvaluatorBackends:
             Candidate(weights=np.array([1.0, 0.0, 0.0]), indices=rows[:1]),
             Candidate(weights=np.array([0.1, 0.1, 0.8]), indices=rows, kind="logits"),
         ]
-        with make_evaluator(sparse_pool, sparse_graph) as serial:
-            expected = serial.evaluate(candidates)
-            reference = evaluate_logits(_loaded(sparse_pool, serial.mix(candidates[3].weights)), sparse_graph)
-        with make_evaluator(sparse_pool, sparse_graph, backend="process", num_workers=2) as process:
-            got = process.evaluate(candidates)
-        assert got[:3] == expected[:3]
-        assert np.array_equal(got[3], expected[3])
-        assert np.array_equal(expected[3], reference[rows])
+        selections = [sparse_graph.val_idx, sparse_graph.test_idx, rows[:1]]
+        with make_evaluator(sparse_pool, sparse_graph) as ev:
+            got = ev.evaluate(candidates)
+            full = [evaluate_logits(_loaded(sparse_pool, ev.mix(c.weights)), sparse_graph) for c in candidates]
+        for i, idx in enumerate(selections):
+            assert got[i] == accuracy(full[i][idx], sparse_graph.labels[idx])
+        assert np.array_equal(got[3], full[3][rows])
 
 
 def _loaded(pool, state):

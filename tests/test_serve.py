@@ -284,7 +284,7 @@ class TestServeConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0}, {"max_wait_s": -1.0}, {"cache_nodes": -1},
-        {"backend": "pipe", "num_workers": 0},
+        {"backend": "pipe", "num_workers": 0}, {"backend": "pipe", "num_workers": True},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):

@@ -141,28 +141,3 @@ class TestEnsembles:
         ens = logit_ensemble(gcn_pool, tiny_graph)
         us = uniform_soup(gcn_pool, tiny_graph)
         assert ens.soup_time > us.soup_time
-
-
-class TestGISMinibatchedValidation:
-    """§II-B: minibatching bounds GIS memory but extends execution time."""
-
-    def test_batched_accuracy_identical(self, gcn_pool, tiny_graph):
-        full = gis_soup(gcn_pool, tiny_graph, granularity=6)
-        batched = gis_soup(gcn_pool, tiny_graph, granularity=6, val_batch_size=16)
-        assert batched.val_acc == pytest.approx(full.val_acc)
-        assert batched.test_acc == pytest.approx(full.test_acc)
-        for name in full.state_dict:
-            np.testing.assert_allclose(batched.state_dict[name], full.state_dict[name])
-
-    def test_batched_takes_longer(self, small_pool, small_graph):
-        full = gis_soup(small_pool, small_graph, granularity=8)
-        batched = gis_soup(small_pool, small_graph, granularity=8, val_batch_size=8)
-        assert batched.soup_time > full.soup_time  # the paper's trade-off
-
-    def test_invalid_batch_size(self, gcn_pool, tiny_graph):
-        with pytest.raises(ValueError):
-            gis_soup(gcn_pool, tiny_graph, val_batch_size=0)
-
-    def test_batch_size_recorded(self, gcn_pool, tiny_graph):
-        result = gis_soup(gcn_pool, tiny_graph, granularity=4, val_batch_size=32)
-        assert result.extras["val_batch_size"] == 32

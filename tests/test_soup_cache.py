@@ -1,10 +1,8 @@
-"""Evaluator-side candidate-score cache + worker-count validation.
+"""Evaluator-side candidate-score cache.
 
-Satellites of the cluster-runtime PR: identical mixes must stop costing
-forward passes (greedy re-speculation, GIS's ``alpha = 0`` endpoint,
-repeats across an evaluator's lifetime), with hit/miss counters exposed —
-and every entry point accepting a worker count must reject booleans and
-non-integers with the scheduler's strict rule.
+Identical mixes must stop costing forward passes (GIS's ``alpha = 0``
+endpoint, repeats across an evaluator's lifetime), with hit/miss
+counters exposed, and the cache must never change a result.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import pytest
 
 from repro.soup import (
     Candidate,
-    ProcessEvaluator,
     greedy_soup,
     gis_soup,
     make_evaluator,
@@ -122,6 +119,10 @@ class TestScoreCache:
                 ev.accuracy_of(weights=w / w.sum())
             assert ev.cache_info()["size"] <= 2
 
+    def test_cache_size_rejects_bool(self, gcn_pool, tiny_graph):
+        with pytest.raises(ValueError, match="cache_size"):
+            make_evaluator(gcn_pool, tiny_graph, cache_size=True)
+
 
 class TestPersistedCache:
     """``cache_path=`` carries scored mixes across evaluator lifetimes."""
@@ -190,34 +191,3 @@ class TestPersistedCache:
         with make_evaluator(gcn_pool, tiny_graph, cache_size=0, cache_path=path) as ev:
             ev.accuracy_of(weights=uniform_weights(len(gcn_pool)))
         assert not path.exists()
-
-
-class TestWorkerCountValidation:
-    """`True` used to slip through as num_workers=1; every entry point now
-    applies the scheduler's strict integer rule."""
-
-    @pytest.mark.parametrize("bad", [True, False, 2.5, "4", None])
-    def test_make_evaluator_rejects_non_integers(self, gcn_pool, tiny_graph, bad):
-        with pytest.raises(ValueError, match="integer"):
-            make_evaluator(gcn_pool, tiny_graph, backend="process", num_workers=bad)
-
-    def test_process_evaluator_rejects_bool(self, gcn_pool, tiny_graph):
-        with pytest.raises(ValueError, match="integer"):
-            ProcessEvaluator(gcn_pool, tiny_graph, num_workers=True)
-
-    def test_eval_service_rejects_bool(self, gcn_pool, tiny_graph):
-        from repro.distributed.eval_service import EvalService, stack_flat_states
-
-        flats, params = stack_flat_states(gcn_pool.states)
-        with pytest.raises(ValueError, match="integer"):
-            EvalService(
-                gcn_pool.model_config, tiny_graph, flats, params, num_workers=True
-            )
-
-    def test_zero_workers_still_rejected(self, gcn_pool, tiny_graph):
-        with pytest.raises(ValueError, match="at least one"):
-            make_evaluator(gcn_pool, tiny_graph, backend="process", num_workers=0)
-
-    def test_cache_size_rejects_bool(self, gcn_pool, tiny_graph):
-        with pytest.raises(ValueError, match="cache_size"):
-            make_evaluator(gcn_pool, tiny_graph, cache_size=True)

@@ -1,10 +1,10 @@
-"""Phase-2 candidate-evaluation engine: backends, views, determinism.
+"""Phase-2 candidate-evaluation engine: mixing, views, determinism.
 
 The acceptance contract under test: every registered souping method runs
 through the shared evaluator and returns bit-identical
-``SoupResult.state_dict`` / ``val_acc`` / ``test_acc`` across the
-``serial`` × ``process`` backends for a fixed seed — the
-Phase-2 mirror of the Phase-1 executor determinism matrix.
+``SoupResult.state_dict`` / ``val_acc`` / ``test_acc`` for a fixed seed,
+whether it builds its own evaluator or shares one, and whether scores
+come from the model or from the score cache.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributed import mix_candidate, stack_flat_states
 from repro.soup import (
-    SOUP_EXECUTORS,
     SOUP_METHODS,
     Candidate,
     DropoutSoupConfig,
@@ -22,7 +20,9 @@ from repro.soup import (
     SoupConfig,
     eval_state,
     make_evaluator,
+    mix_candidate,
     soup,
+    stack_flat_states,
 )
 from repro.soup.state import layer_groups
 
@@ -59,7 +59,7 @@ def assert_results_identical(a, b, label):
 
 
 class TestBackendDeterminism:
-    """All 12 methods × serial/process: bit-identical results."""
+    """All 12 methods: bit-identical results through any evaluator."""
 
     @pytest.fixture(scope="class")
     def serial_results(self, gcn_pool, tiny_graph):
@@ -68,16 +68,17 @@ class TestBackendDeterminism:
     def test_method_kwargs_cover_registry(self):
         assert set(METHOD_KWARGS) == set(SOUP_METHODS)
 
-    @pytest.mark.parametrize("backend", list(SOUP_EXECUTORS))
-    def test_bit_identical_across_backends(self, gcn_pool, tiny_graph, serial_results, backend):
-        with make_evaluator(gcn_pool, tiny_graph, backend=backend, num_workers=3) as ev:
+    def test_bit_identical_without_score_cache(self, gcn_pool, tiny_graph, serial_results):
+        """Every score recomputed: the cache never changes a result."""
+        with make_evaluator(gcn_pool, tiny_graph, cache_size=0) as ev:
             results = run_all_methods(gcn_pool, tiny_graph, evaluator=ev)
         for name, result in results.items():
-            assert_results_identical(serial_results[name], result, f"{backend}/{name}")
+            assert_results_identical(serial_results[name], result, f"uncached/{name}")
 
     def test_default_matches_explicit_serial(self, gcn_pool, tiny_graph, serial_results):
-        """evaluator=None (the legacy call shape) is the serial backend."""
-        with make_evaluator(gcn_pool, tiny_graph, backend="serial") as ev:
+        """evaluator=None (the legacy call shape) matches one evaluator
+        shared by every method."""
+        with make_evaluator(gcn_pool, tiny_graph) as ev:
             again = run_all_methods(gcn_pool, tiny_graph, evaluator=ev)
         for name, result in again.items():
             assert_results_identical(serial_results[name], result, f"serial-explicit/{name}")
@@ -177,14 +178,6 @@ class TestEvaluatorApi:
         with pytest.raises(RuntimeError, match="closed"):
             ev.evaluate([Candidate(weights=np.full(len(gcn_pool), 0.25))])
 
-    def test_unknown_backend_rejected(self, gcn_pool, tiny_graph):
-        for backend in ("mpi", "thread"):
-            with pytest.raises(ValueError, match="soup executor") as info:
-                make_evaluator(gcn_pool, tiny_graph, backend=backend)
-            message = str(info.value)
-            assert "\n" not in message
-            assert all(repr(name) in message for name in SOUP_EXECUTORS)
-
     def test_logits_kind_matches_eval_logits(self, gcn_pool, tiny_graph):
         from repro.train import evaluate_logits
 
@@ -245,22 +238,6 @@ class TestSubsetEvaluator:
             view.close()
             acc = ev.evaluate([Candidate(weights=np.full(len(gcn_pool), 0.25))])[0]
             assert 0.0 <= acc <= 1.0
-
-
-class TestRunnerIntegration:
-    def test_run_cell_parallel_souping_matches_serial(self, tiny_graph, gcn_pool):
-        """The runner's shared-evaluator concurrent dispatch returns the
-        same per-method statistics as the serial path."""
-        from repro.experiments import make_spec
-        from repro.experiments.runner import run_cell
-
-        spec = make_spec("flickr", "gcn", n_soups=2)
-        kw = dict(methods=("us", "greedy"), graph=tiny_graph, pool=gcn_pool, n_soups=2)
-        serial = run_cell(spec, **kw)
-        parallel = run_cell(spec, soup_executor="process", soup_workers=2, **kw)
-        for method in ("us", "greedy"):
-            assert serial.stats[method].test_accs == parallel.stats[method].test_accs
-            assert serial.stats[method].val_accs == parallel.stats[method].val_accs
 
 
 class TestModelOwnership:

@@ -1,8 +1,8 @@
 """Telemetry through the full stack: determinism, aggregation, traces.
 
 The acceptance contract under test: enabling telemetry must not perturb
-a single bit of either phase's results in any execution mode (serial ×
-process-pipe × process-tcp), worker snapshots must aggregate
+a single bit of either phase's results, in any Phase-1 execution mode
+(serial × process-pipe × process-tcp), worker snapshots must aggregate
 driver-side over both transports (including across a kill-fault
 respawn), and the Chrome trace export must carry one track per
 worker/node.
@@ -17,12 +17,13 @@ import pytest
 
 from repro.distributed import ClusterService, FaultPlan, train_ingredients
 from repro.distributed.cluster import ClusterError, PipeTransport
-from repro.soup import gis_soup, make_evaluator
+from repro.soup import gis_soup
 from repro.telemetry import RunReport, build_report, metrics, write_trace
 
-from test_cluster import KW, assert_pools_identical, assert_results_identical
+from test_cluster import KW, assert_pools_identical
+from test_soup_engine import assert_results_identical
 
-#: mode -> (executor/backend, transport) for the three execution modes
+#: mode -> (executor, transport) for the three Phase-1 execution modes
 MODES = {
     "serial": ("serial", None),
     "process-pipe": ("process", "pipe"),
@@ -52,18 +53,11 @@ def _train(graph, mode: str, telemetry: bool):
         metrics.set_enabled(False)
 
 
-def _soup(pool, graph, mode: str, telemetry: bool):
-    backend, transport = MODES[mode]
+def _soup(pool, graph, telemetry: bool):
     metrics.reset()
     metrics.set_enabled(telemetry)
     try:
-        if backend == "serial":
-            return gis_soup(pool, graph, granularity=5)
-        kwargs = dict(backend=backend, num_workers=2)
-        if transport is not None:
-            kwargs["transport"] = transport
-        with make_evaluator(pool, graph, **kwargs) as ev:
-            return gis_soup(pool, graph, granularity=5, evaluator=ev)
+        return gis_soup(pool, graph, granularity=5)
     finally:
         metrics.set_enabled(False)
 
@@ -82,11 +76,10 @@ class TestDeterminismWithTelemetry:
         report = RunReport.from_dict(instrumented.telemetry)
         assert report.histogram_total("train.epoch_step_s")["count"] == 12
 
-    @pytest.mark.parametrize("mode", list(MODES))
-    def test_phase2_bit_identical(self, gcn_pool, tiny_graph, mode):
-        baseline = _soup(gcn_pool, tiny_graph, mode, telemetry=False)
-        instrumented = _soup(gcn_pool, tiny_graph, mode, telemetry=True)
-        assert_results_identical(baseline, instrumented)
+    def test_phase2_bit_identical(self, gcn_pool, tiny_graph):
+        baseline = _soup(gcn_pool, tiny_graph, telemetry=False)
+        instrumented = _soup(gcn_pool, tiny_graph, telemetry=True)
+        assert_results_identical(baseline, instrumented, "gis")
         assert metrics.counter_value("soup.candidates") > 0
 
     def test_pool_cache_round_trip_drops_telemetry(self, tiny_graph, tmp_path):
@@ -200,22 +193,21 @@ class TestWorkerIdentityOnFailure:
         """An exception escaping a worker's task (not a recognised fault)
         must re-raise on the driver with the worker's identity: transport
         label and role."""
-        from repro.distributed.eval_service import EvalTask, stack_flat_states
         from repro.distributed.shm import _graph_to_payload
 
-        flats, params = stack_flat_states(gcn_pool.states)
         context = {
             "graph_ref": {"kind": "arrays", "payload": _graph_to_payload(tiny_graph)},
-            "pool_ref": {"kind": "arrays", "flats": flats, "params": params},
             "model_config": dict(gcn_pool.model_config),
+            "states": (gcn_pool.states[0],),
+            "ensemble": False,
         }
-        service = ClusterService(PipeTransport("eval", context, width=1))
+        service = ClusterService(PipeTransport("serve", context, width=1))
         try:
             with pytest.raises(
                 ClusterError,
-                match=r"worker pipe:w0 .*\(role 'eval'\) raised unexpectedly",
+                match=r"worker pipe:w0 .*\(role 'serve'\) raised unexpectedly",
             ):
-                # a wrong-length weight vector explodes inside the worker
-                service.run([0], lambda key, attempt: EvalTask(weights=np.ones(len(gcn_pool) + 5)))
+                # an out-of-range node id explodes inside the worker
+                service.run([0], lambda key, attempt: np.array([tiny_graph.num_nodes + 5]))
         finally:
             service.close()

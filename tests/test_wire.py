@@ -5,9 +5,9 @@ whose first byte names its format (``repro.distributed.wire``). These
 tests pin the codec's two contracts:
 
 * **round trip** — for every format byte (and the pickle fallback) the
-  decode is the exact inverse of the encode, *including* Python types
-  (``float`` vs ``np.float64``), so driver-side results are identical
-  whether a value travelled as binary or pickle;
+  decode is the exact inverse of the encode, *including* dtypes, so
+  driver-side results are identical whether a value travelled as binary
+  or pickle;
 * **strictness** — truncated bodies, trailing bytes, and unknown format
   bytes raise :class:`WireFormatError` instead of yielding garbage.
 """
@@ -18,42 +18,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import wire
-from repro.distributed.eval_service import EvalTask
 from repro.distributed.wire import WireFormatError, decode_frame, encode_frame
-
-
-class TestScalarFrames:
-    def test_done_float_roundtrip(self):
-        frame = encode_frame(("done", 3, 17, 0.8125))
-        assert frame[:1] == b"D"
-        out = decode_frame(frame)
-        assert out == ("done", 3, 17, 0.8125)
-        assert type(out[3]) is float
-
-    def test_done_np_float64_preserves_type(self):
-        frame = encode_frame(("done", 0, 2, np.float64(0.5)))
-        out = decode_frame(frame)
-        assert out[3] == 0.5 and type(out[3]) is np.float64
-
-    def test_done_scalar_list_roundtrip(self):
-        frame = encode_frame(("done", 1, 9, [0.5, 0.25, 0.125]))
-        assert frame[:1] == b"S"
-        out = decode_frame(frame)
-        assert out == ("done", 1, 9, [0.5, 0.25, 0.125])
-        assert all(type(x) is float for x in out[3])
-
-    def test_done_np64_list_preserves_type(self):
-        frame = encode_frame(("done", 1, 9, [np.float64(0.5), np.float64(1.5)]))
-        assert frame[:1] == b"S"
-        out = decode_frame(frame)
-        assert all(type(x) is np.float64 for x in out[3])
-        assert out[3] == [0.5, 1.5]
-
-    def test_mixed_scalar_list_falls_back_to_pickle(self):
-        frame = encode_frame(("done", 1, 9, [0.5, np.float64(1.5)]))
-        assert frame[:1] == b"P"
-        out = decode_frame(frame)
-        assert type(out[3][0]) is float and type(out[3][1]) is np.float64
 
 
 class TestControlFrames:
@@ -114,62 +79,6 @@ class TestArrayTaskFrames:
         assert frame[:1] == b"P"
 
 
-class TestEvalTaskFrames:
-    def make_task(self, i=0, **over):
-        kw = dict(
-            req_id=i,
-            weights=np.linspace(0, 1, 4) + i,
-            groups=None,
-            state=None,
-            split="val",
-            indices=None,
-            kind="acc",
-        )
-        kw.update(over)
-        return EvalTask(**kw)
-
-    def test_single_task_roundtrip(self):
-        task = self.make_task(7)
-        frame = encode_frame(("task", 42, task))
-        assert frame[:1] == b"T"
-        kind, rid, out = decode_frame(frame)
-        assert (kind, rid) == ("task", 42)
-        assert (out.req_id, out.split, out.kind) == (7, "val", "acc")
-        assert out.groups is None and out.state is None and out.indices is None
-        np.testing.assert_array_equal(out.weights, task.weights)
-        assert out.weights.dtype == task.weights.dtype
-
-    def test_optional_fields_roundtrip(self):
-        task = self.make_task(
-            1,
-            groups=np.array([0, 0, 1, 1], dtype=np.int64),
-            split=None,
-            indices=np.arange(5, dtype=np.int64),
-            kind="logits",
-        )
-        out = decode_frame(encode_frame(("task", 0, task)))[2]
-        np.testing.assert_array_equal(out.groups, task.groups)
-        np.testing.assert_array_equal(out.indices, task.indices)
-        assert out.split is None and out.kind == "logits"
-
-    def test_batch_roundtrip(self):
-        batch = tuple(self.make_task(i) for i in range(3))
-        frame = encode_frame(("task", 9, batch))
-        assert frame[:1] == b"U"
-        kind, rid, out = decode_frame(frame)
-        assert isinstance(out, tuple) and len(out) == 3
-        for a, b in zip(batch, out):
-            assert a.req_id == b.req_id
-            np.testing.assert_array_equal(a.weights, b.weights)
-
-    def test_state_dict_task_falls_back_to_pickle(self):
-        task = self.make_task(0, weights=None, state=(("w", np.ones(2)),))
-        frame = encode_frame(("task", 0, task))
-        assert frame[:1] == b"P"
-        out = decode_frame(frame)[2]
-        np.testing.assert_array_equal(dict(out.state)["w"], np.ones(2))
-
-
 class TestStrictDecode:
     def test_empty_frame_rejected(self):
         with pytest.raises(WireFormatError, match="empty"):
@@ -181,6 +90,11 @@ class TestStrictDecode:
             pytest.param(b"\xee\x00\x01", id="unknown"),
             # "B" was the retired sharded-dispatch frame kind
             pytest.param(b"B\x00\x00\x00\x00", id="retired-shard"),
+            # "D"/"S" were scalar-score completions, "T"/"U" candidate tasks
+            pytest.param(b"D" + bytes(25), id="retired-score"),
+            pytest.param(b"S" + bytes(21), id="retired-score-list"),
+            pytest.param(b"T" + bytes(8), id="retired-candidate-task"),
+            pytest.param(b"U" + bytes(12), id="retired-candidate-batch"),
         ],
     )
     def test_unknown_format_byte_rejected(self, frame):
@@ -192,12 +106,11 @@ class TestStrictDecode:
         [
             ("claim", 2, 41),
             ("ping", 0),
-            ("done", 1, 3, 0.5),
-            ("done", 1, 3, [0.5, 0.25]),
             ("done", 1, 3, {0: np.ones(2)}),
+            ("done", 1, 3, {4: np.zeros(3), 9: np.arange(3.0)}),
             ("task", 5, np.arange(4.0)),
-            ("task", 5, EvalTask(req_id=1, weights=np.ones(2), groups=None,
-                                 state=None, split="val", indices=None, kind="acc")),
+            ("task", 5, np.array([[1, -2], [3, 4]], dtype=np.int32)),
+            ("task", 5, np.arange(6, dtype=np.int64)),
         ],
     )
     def test_truncation_and_trailing_bytes_rejected(self, message):
@@ -230,7 +143,7 @@ class TestFormatPin:
             wire.set_wire_format("msgpack")
 
     def test_decoder_accepts_both_formats(self):
-        message = ("done", 1, 2, 0.75)
+        message = ("claim", 1, 2)
         binary = encode_frame(message)
         prev = wire.set_wire_format("pickle")
         try:
@@ -238,14 +151,3 @@ class TestFormatPin:
         finally:
             wire.set_wire_format(prev)
         assert decode_frame(binary) == decode_frame(pickled) == message
-
-
-class TestRegistry:
-    def test_reserved_bytes_rejected(self):
-        for byte in (b"P", b"C", b"G", b"D", b"S", b"R", b"A"):
-            with pytest.raises(ValueError, match="reserved"):
-                wire.register_task_payload(byte, lambda p: False, None, None)
-
-    def test_multibyte_format_rejected(self):
-        with pytest.raises(ValueError, match="single byte"):
-            wire.register_task_payload(b"XY", lambda p: False, None, None)
