@@ -32,8 +32,8 @@ both run on:
   - :class:`TcpTransport` (multi-host): the driver connects *out* to
     workers listening on ``host:port`` (started with ``python -m repro
     cluster start-worker``) and/or spawns loopback workers locally.
-    Messages are length-prefixed frames (:mod:`~repro.distributed.wire`
-    binary fast path, pickle fallback); death is detected by
+    Messages are length-prefixed pickled frames
+    (:mod:`~repro.distributed.wire`); death is detected by
     connection loss or heartbeat silence. Workers first receive the
     driver's preferred context; a worker whose init fails on it (e.g.
     cross-node, where a shared-memory segment name resolves to nothing)
@@ -135,11 +135,14 @@ def _approx_result_nbytes(result) -> int:
     """Cheap structural size probe for a task result — no serialization.
 
     Counts ndarray buffer bytes where large results actually keep them
-    (state-dict-shaped mappings, objects carrying a ``state_dict``); the
-    scalar results probe to 0 and skip the streaming branch entirely.
+    (state-dict-shaped mappings, array tuples such as a serve flush's
+    ``(rows, scores)``, objects carrying a ``state_dict``); the scalar
+    results probe to 0 and skip the streaming branch entirely.
     """
     if isinstance(result, dict):
         return sum(int(getattr(v, "nbytes", 0) or 0) for v in result.values())
+    if isinstance(result, tuple):
+        return sum(int(getattr(v, "nbytes", 0) or 0) for v in result)
     total = int(getattr(result, "nbytes", 0) or 0)
     state = getattr(result, "state_dict", None)
     if isinstance(state, dict):
@@ -402,12 +405,7 @@ def _pipe_worker_main(
     role, tel = _start_worker(role_name, telemetry, f"pipe:w{worker_id}", "pipe")
 
     def put(message):
-        data = encode_frame(message)
-        if tel:
-            metrics.inc("transport.frames_sent")
-            metrics.inc(_frame_format_counter(data))
-            metrics.inc("transport.bytes_sent", len(data))
-            metrics.observe("transport.frame_bytes_sent", len(data), BYTE_BUCKETS)
+        data = _encode(message)
         with result_lock:
             result_writer.send_bytes(data)
 
@@ -415,14 +413,7 @@ def _pipe_worker_main(
         item = task_queue.get()
         if item is None:
             return None
-        if tel:
-            t0 = time.perf_counter()
-            _kind, rid, payload = decode_frame(item)
-            metrics.observe("transport.deserialize_s", time.perf_counter() - t0)
-            metrics.inc("transport.frames_received")
-            metrics.inc("transport.bytes_received", len(item))
-        else:
-            _kind, rid, payload = decode_frame(item)
+        _kind, rid, payload = _decode(item)
         return rid, payload
 
     with metrics.span("worker.init", role=role_name):
@@ -484,17 +475,7 @@ class PipeTransport:
         return outstanding < self.width + 2
 
     def send(self, rid: int, payload) -> None:
-        if metrics.enabled:
-            t0 = time.perf_counter()
-            data = encode_frame(("task", rid, payload))
-            metrics.observe("transport.serialize_s", time.perf_counter() - t0)
-            metrics.inc("transport.frames_sent")
-            metrics.inc(_frame_format_counter(data))
-            metrics.inc("transport.bytes_sent", len(data))
-            metrics.observe("transport.frame_bytes_sent", len(data), BYTE_BUCKETS)
-        else:
-            data = encode_frame(("task", rid, payload))
-        self._task_queue.put(data)
+        self._task_queue.put(_encode(("task", rid, payload)))
 
     def poll(self, timeout: float):
         deadline = time.monotonic() + max(timeout, 0.0)
@@ -502,18 +483,9 @@ class PipeTransport:
             remaining = deadline - time.monotonic()
             if not self._reader.poll(max(remaining, 0.0)):
                 return None
-            data = self._reader.recv_bytes()
-            if metrics.enabled:
-                t0 = time.perf_counter()
-                message = decode_frame(data)
-                metrics.observe("transport.deserialize_s", time.perf_counter() - t0)
-                metrics.inc("transport.frames_received")
-                metrics.inc("transport.bytes_received", len(data))
-            else:
-                message = decode_frame(data)
             # streamed-result chunks buffer transport-side; the service
             # layer only ever sees whole completions
-            message = self._assembler.feed(message)
+            message = self._assembler.feed(_decode(self._reader.recv_bytes()))
             if message is not None:
                 return message
 
@@ -554,15 +526,41 @@ class PipeTransport:
 
 
 # ---------------------------------------------------------------------------
-# tcp framing
+# framing
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct(">Q")
 
 
-def _frame_format_counter(data) -> str:
-    """Telemetry counter name for one encoded frame (binary vs pickle path)."""
-    return "transport.frames_pickle" if data[0] == 0x50 else "transport.frames_binary"
+def _count_sent(data: bytes) -> None:
+    """Account one outgoing frame body in the transport counters."""
+    if metrics.enabled:
+        metrics.inc("transport.frames_sent")
+        metrics.inc("transport.bytes_sent", len(data))
+        metrics.observe("transport.frame_bytes_sent", len(data), BYTE_BUCKETS)
+
+
+def _encode(message) -> bytes:
+    """Encode one outgoing message (both transports), timing and counting it."""
+    if not metrics.enabled:
+        return encode_frame(message)
+    t0 = time.perf_counter()
+    data = encode_frame(message)
+    metrics.observe("transport.serialize_s", time.perf_counter() - t0)
+    _count_sent(data)
+    return data
+
+
+def _decode(data: bytes):
+    """Decode one incoming frame body (both transports), timing and counting it."""
+    if not metrics.enabled:
+        return decode_frame(data)
+    t0 = time.perf_counter()
+    message = decode_frame(data)
+    metrics.observe("transport.deserialize_s", time.perf_counter() - t0)
+    metrics.inc("transport.frames_received")
+    metrics.inc("transport.bytes_received", len(data))
+    return message
 
 
 def _configure_socket(sock: socket.socket) -> None:
@@ -586,35 +584,28 @@ def _configure_socket(sock: socket.socket) -> None:
 
 
 def _send_raw(sock: socket.socket, data: bytes) -> int:
-    """Send one pre-encoded frame body; returns the body length.
-
-    The raw entry point exists so a payload serialized once (the fallback
-    context) is *reused* across workers instead of re-encoded per
-    connection.
-    """
-    if metrics.enabled:
-        metrics.inc("transport.frames_sent")
-        metrics.inc(_frame_format_counter(data))
-        metrics.inc("transport.bytes_sent", len(data))
-        metrics.observe("transport.frame_bytes_sent", len(data), BYTE_BUCKETS)
+    """Send one encoded frame body with its length prefix; returns the body
+    length. :func:`_encode` counts the frame; the fallback context, encoded
+    once and pushed to each worker that needs it, is counted per push."""
     sock.sendall(_HEADER.pack(len(data)) + data)
     return len(data)
 
 
 def _send_frame(sock: socket.socket, obj) -> int:
-    if metrics.enabled:
-        t0 = time.perf_counter()
-        data = encode_frame(obj)
-        metrics.observe("transport.serialize_s", time.perf_counter() - t0)
-    else:
-        data = encode_frame(obj)
-    return _send_raw(sock, data)
+    return _send_raw(sock, _encode(obj))
+
+
+#: Largest single ``recv``. ``socket.recv(n)`` allocates ``n`` bytes up
+#: front, so reading a frame in bounded pieces keeps a corrupt length
+#: prefix (8 bytes of an HTTP request read as a length: ~5e18) from
+#: raising ``MemoryError`` before a byte of the body arrives.
+_RECV_CHUNK = 1 << 20
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     buf = bytearray()
     while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+        chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         if not chunk:
             if buf:
                 raise ClusterError("connection closed mid-frame")
@@ -624,8 +615,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def _recv_frame(sock: socket.socket):
-    """One length-prefixed frame (binary fast path or pickle fallback);
-    ``None`` on clean EOF."""
+    """One length-prefixed frame, decoded; ``None`` on clean EOF."""
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
@@ -633,14 +623,7 @@ def _recv_frame(sock: socket.socket):
     body = _recv_exact(sock, length)
     if body is None:
         raise ClusterError("connection closed mid-frame")
-    if metrics.enabled:
-        t0 = time.perf_counter()
-        message = decode_frame(body)
-        metrics.observe("transport.deserialize_s", time.perf_counter() - t0)
-        metrics.inc("transport.frames_received")
-        metrics.inc("transport.bytes_received", len(body))
-        return message
-    return decode_frame(body)
+    return _decode(body)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +710,7 @@ def run_worker(
     experiment runs — unless ``once`` is set.
 
     .. warning::
-        The wire protocol accepts pickle-fallback frames with **no
+        The wire protocol is pickle with **no
         authentication or encryption** — anyone who can reach the port
         can execute code as this process. Run workers only on trusted networks (lab LAN, VPN,
         an SSH tunnel) and bind a specific interface with ``host`` where
@@ -934,6 +917,7 @@ class TcpTransport:
                         f"is available:\n{reply[2]}"
                     )
                 metrics.inc("transport.fallback_payload_pushes")
+                _count_sent(frame)
                 self._count_payload(wid, _send_raw(sock, frame))
                 reply = _recv_frame(sock)
             if reply is None or reply[0] != "ready":

@@ -157,9 +157,11 @@ class ServedModel:
             return self.graph
         return blocks
 
-    def scores_at(self, node_ids) -> dict[int, np.ndarray]:
-        """Score rows for the requested nodes, keyed by node id.
+    def scores_at(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Score rows for the requested nodes as ``(rows, scores)``.
 
+        ``rows`` are the sorted unique int64 node ids and ``scores`` the
+        ``[len(rows), C]`` float64 block, row ``i`` scoring ``rows[i]``.
         One forward on :meth:`field` (N for an ensemble, sharing the
         blocks), bit-identical to the full-graph pass at every row — a row
         is the same bytes whether the node arrived alone or in a 10 000-node
@@ -190,7 +192,7 @@ class ServedModel:
                 "serve.score", start, time.monotonic() - start,
                 rows=len(rows), input_rows=len(field.features), blocked=field is not self.graph,
             )
-        return {int(node): np.ascontiguousarray(scores[i]) for i, node in enumerate(rows)}
+        return rows, np.ascontiguousarray(scores, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def _serve_role_init(context: dict) -> _ServeWorkerState:
     return _ServeWorkerState(model, handle)
 
 
-def _serve_role_run(state: _ServeWorkerState, node_ids) -> dict[int, np.ndarray]:
+def _serve_role_run(state: _ServeWorkerState, node_ids) -> tuple[np.ndarray, np.ndarray]:
     return state.model.scores_at(node_ids)
 
 

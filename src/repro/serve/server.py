@@ -61,6 +61,7 @@ import numpy as np
 
 from ..distributed.cluster import (
     TRANSPORTS,
+    ClusterError,
     WorkerLossError,
     _configure_socket,
     _recv_frame,
@@ -69,6 +70,7 @@ from ..distributed.cluster import (
     parse_nodes,
 )
 from ..distributed.scheduler import _validate_num_workers
+from ..distributed.wire import WireFormatError
 from ..telemetry import metrics
 from .cache import NodeCache
 from .model import ServedModel, state_digest, state_to_wire
@@ -351,16 +353,19 @@ class PredictionServer:
             ).start()
 
     def _reader_loop(self, conn: _ClientConn) -> None:
-        while True:
-            try:
-                frame = _recv_frame(conn.sock)
-            except Exception:
-                frame = None
-            if frame is None:
-                break
-            self._inbox.put(("request", conn, frame, time.monotonic()))
-        conn.alive = False
-        self._inbox.put(("gone", conn))
+        try:
+            while (frame := _recv_frame(conn.sock)) is not None:
+                self._inbox.put(("request", conn, frame, time.monotonic()))
+        except WireFormatError:
+            metrics.inc("serve.bad_frames")
+        except (OSError, ClusterError):
+            # the client reset or went away mid-frame. Anything else is a
+            # bug and surfaces through threading.excepthook after the
+            # finally below.
+            pass
+        finally:
+            conn.alive = False
+            self._inbox.put(("gone", conn))
 
     def _reply(self, conn: _ClientConn, frame) -> None:
         if not conn.alive:
@@ -419,13 +424,24 @@ class PredictionServer:
         if kind == "wake":
             return
         _kind, conn, frame, ts = event
-        try:
-            op, req_id = frame[0], frame[1]
-        except Exception:
+        if type(frame) is not tuple or len(frame) < 2:
+            # no request id to address an error reply to: hang up. The
+            # shutdown wakes the reader, whose "gone" event closes the socket
+            metrics.inc("serve.bad_frames")
             conn.alive = False
+            try:
+                conn.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             return
-        if op == "predict":
-            self._admit(conn, req_id, frame[2], ts)
+        op, req_id = frame[0], frame[1]
+        if type(op) is not str:
+            self._fail(conn, req_id, f"request op must be a string, got {type(op).__name__}")
+        elif op == "predict":
+            if len(frame) != 3:
+                self._fail(conn, req_id, "predict takes (op, request id, node ids)")
+            else:
+                self._admit(conn, req_id, frame[2], ts)
         elif op == "stats":
             self._reply(conn, ("ok", req_id, self.stats()))
         elif op == "ping":
@@ -434,8 +450,7 @@ class PredictionServer:
             self._reply(conn, ("ok", req_id, True))
             self._stop.set()
         else:
-            self.errors += 1
-            self._reply(conn, ("err", req_id, f"unknown request op {op!r}"))
+            self._fail(conn, req_id, f"unknown request op {op!r}")
 
     def _admit(self, conn: _ClientConn, req_id, raw_ids, ts: float) -> None:
         self.requests += 1
@@ -512,9 +527,11 @@ class PredictionServer:
                         self._fail(req.conn, req.req_id, f"scoring failed: {result}")
                         req.dead = True
             return
-        self._cache.insert(result)
+        rows, scores = result
+        computed = dict(zip(rows.tolist(), scores))
+        self._cache.insert(computed)
         for node in nodes:
-            row = result.get(node)
+            row = computed.get(node)
             for req in self._want.pop(node, ()):
                 if req.dead:
                     continue

@@ -12,6 +12,8 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import socket
+import struct
 import threading
 import time
 import warnings
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.distributed.cluster import _recv_frame, _send_frame
 from repro.graph import GeneratorConfig, homophilous_graph
 from repro.graph.blocks import Blocks
 from repro.models import build_model
@@ -101,16 +104,16 @@ class TestServedModel:
     def test_matches_reference_logits(self, served):
         pool, graph, state, ref = served
         model = ServedModel(pool.model_config, graph, [state])
-        rows = model.scores_at([3, 0, 3, 9])
-        assert set(rows) == {0, 3, 9}
-        for node, row in rows.items():
-            assert np.array_equal(row, ref[node])
+        rows, scores = model.scores_at([3, 0, 3, 9])
+        assert rows.dtype == np.int64 and rows.tolist() == [0, 3, 9]
+        assert scores.dtype == np.float64 and scores.flags.c_contiguous
+        assert np.array_equal(scores, ref[rows])
 
     def test_rows_independent_of_batch_composition(self, served):
         pool, graph, state, _ref = served
         model = ServedModel(pool.model_config, graph, [state])
-        alone = model.scores_at([11])[11]
-        crowded = model.scores_at(range(graph.num_nodes))[11]
+        alone = model.scores_at([11])[1][0]
+        crowded = model.scores_at(range(graph.num_nodes))[1][11]
         assert np.array_equal(alone, crowded)
 
     def test_ensemble_matches_logit_ensemble(self, served):
@@ -122,9 +125,9 @@ class TestServedModel:
             worker.load_state_dict(s)
             per.append(evaluate_logits(worker, graph))
         expected = _softmax(np.stack(per)).mean(axis=0)
-        rows = model.scores_at([0, 5])
-        assert np.array_equal(rows[0], expected[0])
-        assert np.array_equal(rows[5], expected[5])
+        rows, scores = model.scores_at([0, 5])
+        assert rows.tolist() == [0, 5]
+        assert np.array_equal(scores, expected[[0, 5]])
 
     def test_digest_identifies_parameters(self, served):
         pool, graph, state, _ref = served
@@ -218,10 +221,9 @@ class TestServedModelOnBlocks:
             assert served.field(np.arange(n)) is graph
             flushes.update(under=under, past=past)
         for name, ids in flushes.items():
-            rows = served.scores_at(ids)
-            assert sorted(rows) == sorted(set(int(i) for i in ids)), name
-            for node, row in rows.items():
-                assert np.array_equal(row, expected[node]), (name, node)
+            rows, scores = served.scores_at(ids)
+            assert rows.tolist() == sorted(set(int(i) for i in ids)), name
+            assert np.array_equal(scores, expected[rows]), name
 
     def test_blocks_bypass_the_graph_block_cache(self, sparse_graph):
         served = _served_sage(sparse_graph)
@@ -437,7 +439,7 @@ class TestPredictionServerCluster:
         pool, graph, _state, _ref = served
         states = [dict(s) for s in pool.states]
         serial = ServedModel(pool.model_config, graph, states, ensemble=True)
-        expected = serial.scores_at([0, 33, 150])
+        _rows, expected = serial.scores_at([0, 33, 150])
         config = ServeConfig(backend="pipe", num_workers=2, cache_nodes=8, max_wait_s=0.001)
         with PredictionServer(pool.model_config, graph, states, ensemble=True, config=config) as srv:
             srv.start()
@@ -445,9 +447,7 @@ class TestPredictionServerCluster:
             with ServeClient(host, port) as client:
                 assert client.info["ensemble"] is True
                 scores = client.predict([0, 33, 150])
-                assert np.array_equal(scores[0], expected[0])
-                assert np.array_equal(scores[1], expected[33])
-                assert np.array_equal(scores[2], expected[150])
+                assert np.array_equal(scores, expected)
 
 
 class TestClientGone:
@@ -474,6 +474,95 @@ class TestClientGone:
                 gc.collect()
         leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaked, [str(w.message) for w in leaked]
+
+
+class TestMalformedFrames:
+    """The serve fault matrix's malformed-frame cases: a bad frame costs its
+    sender an error reply or its connection, never the server."""
+
+    @pytest.fixture
+    def server(self, served):
+        pool, graph, state, _ref = served
+        config = ServeConfig(backend="serial", cache_nodes=0, max_wait_s=0.001)
+        metrics.reset()
+        metrics.set_enabled(True)
+        try:
+            with PredictionServer(pool.model_config, graph, [state], config=config) as srv:
+                srv.start()
+                yield srv
+        finally:
+            metrics.set_enabled(False)
+            metrics.reset()
+
+    @staticmethod
+    def _connect(srv) -> socket.socket:
+        sock = socket.create_connection(srv.address, timeout=5.0)
+        assert _recv_frame(sock)[0] == "hello"
+        return sock
+
+    @pytest.mark.parametrize(
+        "frame, error",
+        [
+            (("predict", 7), "predict takes"),
+            (("predict", 7, [1], "extra"), "predict takes"),
+            ((None, 7), "must be a string"),
+            ((np.array([1, 2]), 7), "must be a string"),
+        ],
+        ids=["short-predict", "long-predict", "none-op", "array-op"],
+    )
+    def test_bad_request_gets_an_error_reply(self, server, served, frame, error):
+        ref = served[3]
+        with self._connect(server) as sock, ServeClient(*server.address, timeout=5.0) as healthy:
+            _send_frame(sock, frame)
+            status, rid, message = _recv_frame(sock)
+            assert (status, rid) == ("err", 7) and error in message
+            # the sender's connection and every other client keep working
+            _send_frame(sock, ("predict", 8, np.array([3])))
+            status, rid, scores = _recv_frame(sock)
+            assert (status, rid) == ("ok", 8) and np.array_equal(scores, ref[[3]])
+            assert np.array_equal(healthy.predict([4, 2, 4]), ref[[4, 2, 4]])
+
+    @pytest.mark.parametrize("frame", [("predict",), 42, "predict"], ids=["one-field", "int", "str"])
+    def test_frame_without_request_id_closes_its_connection(self, server, served, frame):
+        ref = served[3]
+        with ServeClient(*server.address, timeout=5.0) as healthy:
+            before = healthy.predict([6, 1])
+            with self._connect(server) as sock:
+                _send_frame(sock, frame)
+                assert sock.recv(1) == b"", "the server kept the connection open"
+            assert metrics.snapshot()["counters"]["serve.bad_frames"] == 1
+            after = healthy.predict([6, 1])
+        assert np.array_equal(before, ref[[6, 1]]) and np.array_equal(after, before)
+
+    def test_non_protocol_bytes_close_only_their_connection(self, server, served, monkeypatch):
+        """An HTTP probe: its first 8 bytes read as a ~5e18-byte length."""
+        ref = served[3]
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        with ServeClient(*server.address, timeout=5.0) as healthy:
+            with self._connect(server) as sock:
+                sock.sendall(b"GET / HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                # the reader waits for the rest of the "frame" instead of
+                # allocating all of it up front
+                sock.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    sock.recv(1)
+                sock.settimeout(5.0)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1) == b"", "the server kept the connection open"
+            assert np.array_equal(healthy.predict([5]), ref[[5]])
+        assert not crashed, [repr(args.exc_value) for args in crashed]
+
+    def test_garbage_body_closes_its_connection(self, server, served):
+        ref = served[3]
+        with ServeClient(*server.address, timeout=5.0) as healthy:
+            before = healthy.predict([9, 0, 9])
+            with self._connect(server) as sock:
+                sock.sendall(struct.pack(">Q", 9) + b"Xgarbage!")
+                assert sock.recv(1) == b"", "the server kept the connection open"
+            assert metrics.snapshot()["counters"]["serve.bad_frames"] == 1
+            after = healthy.predict([9, 0, 9])
+        assert np.array_equal(before, ref[[9, 0, 9]]) and np.array_equal(after, before)
 
 
 class TestServeCli:
