@@ -10,7 +10,10 @@ rows each layer must produce shrink towards ``R`` layer by layer:
 * the layer before produces that set from *its* 1-hop neighbours, ...
 
 :meth:`Graph.blocks` builds that layering once per row set and caches
-it; serving builds it per flush with :func:`build_blocks`, uncached. Each
+it (souping's row sets, Phase 1's train/val/test splits); serving builds
+it per flush and minibatch training per sampled subgraph with
+:func:`build_blocks`, uncached. :func:`forward_field` decides whether a
+forward runs on the blocks or on the whole graph. Each
 :class:`Block` holds a layer's destination ids (the rows it outputs) and
 source ids (the rows it reads), both as sorted global ids, plus the
 positions of the destinations within the sources. Its operators are the
@@ -30,10 +33,13 @@ one forward path.
 Contract: every per-row computation of a forward — the SpMM rows, the
 GEMM rows, the per-destination attention softmax, the elementwise
 activations — depends only on that row's inputs, so the logits at ``R``
-are bit-identical to the full pass. Gradients into shared parameters
-(e.g. the LS alphas) match only to float rounding, because the
-weight-gradient GEMM ``x^T g`` sums over fewer rows (the full pass adds
-rows whose gradient is exactly zero).
+are bit-identical to the full pass. Dropout keeps that in training: a
+mask is drawn over the whole graph's rows (or attention edges) from the
+same generator and gathered at the view's :attr:`Block.dropout_rows`, so
+the random stream and every kept entry equal the full pass's. Gradients
+into shared parameters (the weights, the LS alphas) match only to float
+rounding, because the weight-gradient GEMM ``x^T g`` sums over fewer
+rows (the full pass adds rows whose gradient is exactly zero).
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ from ..tensor import Tensor
 from ..tensor.sparse import SparseAdj
 from .csr import CSR, MessageStructure, row_slice_index
 
-__all__ = ["BLOCK_CACHE_SIZE", "Block", "Blocks", "blocks_key", "build_blocks"]
+__all__ = ["BLOCK_CACHE_SIZE", "BLOCK_EDGE_SHARE", "Block", "Blocks", "blocks_key", "build_blocks", "forward_field"]
 
 #: Row sets whose blocks a graph keeps (least recently used dropped first):
-#: a souping call reads a few fixed sets (validation, holdout, test).
+#: a souping call reads a few fixed sets (validation, holdout, test), and
+#: Phase 1 its train, validation and test splits.
 BLOCK_CACHE_SIZE = 8
 
 
@@ -81,6 +88,12 @@ class Block:
         self.dst_pos = np.searchsorted(src, dst)
         self._operators: dict = {}
 
+    @property
+    def dropout_rows(self) -> tuple[np.ndarray, int]:
+        """``(src, num_nodes)``: a dropout mask over this layer's input is
+        drawn over all the graph's rows and gathered at the sources."""
+        return self.src, self.graph.num_nodes
+
     def _slice(self, indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, indptr, indices)`` of the ``dst`` rows with columns
         remapped to positions in ``src`` (order within rows kept).
@@ -110,13 +123,19 @@ class Block:
         return self._operators[kind]
 
     def attention_structure(self) -> MessageStructure:
-        """The graph's self-looped attention structure, sliced to ``[dst, src]``."""
+        """The graph's self-looped attention structure, sliced to ``[dst, src]``.
+
+        Its ``dropout_rows`` are the kept edges' positions in the full
+        structure, where attention dropout draws its mask.
+        """
         key = "_attn_structure"
         if key not in self._operators:
             full = self.graph.attention_structure()
-            _, indptr, indices = self._slice(full.indptr, full.indices)
+            flat, indptr, indices = self._slice(full.indptr, full.indices)
             self._operators[key] = MessageStructure(
-                CSR(indptr, indices, len(self.dst)), num_src=len(self.src)
+                CSR(indptr, indices, len(self.dst)),
+                num_src=len(self.src),
+                dropout_rows=(flat, full.num_edges),
             )
         return self._operators[key]
 
@@ -164,6 +183,12 @@ class Blocks:
         if self._features is None:
             self._features = np.ascontiguousarray(self.graph.features[self.input_rows])
         return self._features
+
+    @property
+    def dropout_rows(self) -> tuple[np.ndarray, int]:
+        """``(input_rows, num_nodes)``: where a dropout mask over the
+        forward's input rows is gathered (a 0-hop model's every layer)."""
+        return self.input_rows, self.graph.num_nodes
 
     @property
     def num_edges(self) -> int:
@@ -214,3 +239,42 @@ def build_blocks(graph, rows, hops: int) -> Blocks:
         layers.append(Block(graph, dst, src))
         dst = src
     return Blocks(graph, rows, tuple(reversed(layers)))
+
+
+#: Widest field a forward runs on blocks built for it alone, as the share
+#: of the full pass's SpMM edges (``hops * graph.num_edges``) the blocks
+#: read, keyed by whether a backward follows; a wider field runs on the
+#: whole graph. Such blocks pay for slicing operators and gathering rows
+#: on every call, which a backward amortises: at full coverage a forward
+#: costs 1.2-1.4x the full pass and a training step 1.1-1.3x. The
+#: crossover lies at a share of ~0.6 (SAGE) to ~0.75 (GAT) for a forward
+#: and ~0.7 (SAGE) to ~0.9 (GAT) for a step, so each share keeps a blocked
+#: pass at most as slow as the full one. Cached blocks pay that cost once
+#: and then cost about the full pass even at full coverage (0.9-1.2x), so
+#: they need no share. Measured in docs/performance.md ("Serving on layered
+#: blocks", "Training on layered blocks").
+BLOCK_EDGE_SHARE = {False: 0.5, True: 0.7}
+
+
+def forward_field(graph, rows, hops: int, *, backward: bool = False, cached: bool = True):
+    """What a forward producing ``rows`` runs on: their blocks or the graph.
+
+    With ``cached=True`` (a row set read again and again: a split, a
+    souping row set) the blocks come from the graph's cache
+    (:meth:`Graph.blocks`) and are always used. With ``cached=False`` (a
+    serving flush, a sampled minibatch) they are built for this call
+    alone (:func:`build_blocks`), and the whole graph, the trivial block,
+    runs instead when their SpMMs would read more than
+    ``BLOCK_EDGE_SHARE[backward]`` of the full pass's edges. A
+    memory-budgeted store graph always runs whole: blocks slice its full
+    operators, which are forbidden. Either way the logits at ``rows`` are
+    the full pass's.
+    """
+    if graph.is_store_backed and graph.store.memory_budget is not None:
+        return graph
+    if cached:
+        return graph.blocks(rows, hops)
+    blocks = build_blocks(graph, np.unique(np.asarray(rows, dtype=np.int64)), hops)
+    if blocks.num_edges > BLOCK_EDGE_SHARE[backward] * len(blocks.layers) * graph.num_edges:
+        return graph
+    return blocks

@@ -216,15 +216,21 @@ class MessageStructure:
     indices : int64 ``[E]`` — source node id of every edge.
     dst_ids : int64 ``[E]`` — destination node id of every edge
         (``segment_ids_from_indptr(indptr)``, materialised once).
+    dropout_rows : ``(edge_ids, total)`` or ``None`` — on a block, the
+        edges' positions in the graph's ``total``-edge structure, where an
+        attention-dropout mask is drawn and gathered.
     """
 
-    __slots__ = ("indptr", "indices", "num_nodes", "num_src", "dst_ids", "_transpose")
+    __slots__ = ("indptr", "indices", "num_nodes", "num_src", "dst_ids", "dropout_rows", "_transpose")
 
-    def __init__(self, csr: CSR, num_src: int | None = None) -> None:
+    def __init__(
+        self, csr: CSR, num_src: int | None = None, dropout_rows: tuple[np.ndarray, int] | None = None
+    ) -> None:
         self.indptr = csr.indptr
         self.indices = csr.indices
         self.num_nodes = csr.num_nodes
         self.num_src = csr.num_nodes if num_src is None else int(num_src)
+        self.dropout_rows = dropout_rows
         self.dst_ids = np.repeat(
             np.arange(csr.num_nodes, dtype=np.int64), np.diff(csr.indptr)
         )

@@ -9,6 +9,7 @@ like DGL caches its normalised adjacency.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -29,6 +30,7 @@ class Graph:
     """An attributed, node-classified graph with train/val/test masks."""
 
     is_store_backed = False  # True on mmap-backed StoreGraph views
+    dropout_rows = None  # a dropout mask covers every row: nothing to gather (cf. Block)
 
     __slots__ = (
         "csr",
@@ -41,6 +43,7 @@ class Graph:
         "name",
         "_operators",
         "_block_cache",
+        "__weakref__",
     )
 
     def __init__(
@@ -65,6 +68,23 @@ class Graph:
         self._operators: dict[str, SparseAdj] = {}
         self._block_cache: "OrderedDict[bytes, _blocks.Blocks]" = OrderedDict()
         self.validate()
+
+    def __getstate__(self):
+        """Pickle the data, not the caches: operators and blocks are rebuilt
+        on demand, and cached blocks refer to their graph weakly."""
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in getattr(cls, "__slots__", ())
+            if name not in ("_operators", "_block_cache", "__weakref__")
+        }
+        return None, slots
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+        self._operators = {}
+        self._block_cache = OrderedDict()
 
     # -- invariants --------------------------------------------------------
 
@@ -184,7 +204,11 @@ class Graph:
         See :mod:`repro.graph.blocks`. Cached per ``(rows, hops)`` like the
         operators, keeping the :data:`~repro.graph.blocks.BLOCK_CACHE_SIZE`
         most recently used row sets; ``rows`` may be unsorted or repeat
-        ids (the blocks output the sorted unique set).
+        ids (the blocks output the sorted unique set). Cached blocks hold
+        the graph through a weak proxy: a strong reference back would make
+        a cycle, and a dropped graph would then stay resident, with every
+        cached block's features and operators, until the cyclic collector
+        ran.
         """
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         key = _blocks.blocks_key(rows, hops)
@@ -192,7 +216,7 @@ class Graph:
         with _BLOCK_LOCK:
             blocks = cache.get(key)
             if blocks is None:
-                blocks = cache[key] = _blocks.build_blocks(self, rows, hops)
+                blocks = cache[key] = _blocks.build_blocks(weakref.proxy(self), rows, hops)
                 while len(cache) > _blocks.BLOCK_CACHE_SIZE:
                     cache.popitem(last=False)
             else:

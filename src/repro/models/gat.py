@@ -81,7 +81,7 @@ class GATConv(Module):
             score_src, score_dst, src_ids, dst_ids, indptr, self.negative_slope
         )
         alpha = segment_softmax(edge_logits, indptr)  # [E, H]
-        alpha = self.attn_drop(alpha, rng)
+        alpha = self.attn_drop(alpha, rng, structure.dropout_rows)
 
         # fused gather * alpha -> segment reduce: one SpMM per head
         out = gather_mul_segment_sum(
@@ -141,8 +141,9 @@ class GAT(Module):
         """Logits ``[n, out_dim]`` of a graph, or of a row set's layered blocks."""
         h = x if x is not None else Tensor(graph.features)
         for i, conv in enumerate(self.convs):
-            h = self.dropout(h, rng)
-            h = conv(graph.layer(i), h, rng)
+            layer = graph.layer(i)
+            h = self.dropout(h, rng, layer.dropout_rows)
+            h = conv(layer, h, rng)
             if i < self.num_layers - 1:
                 h = h.elu()
         return h

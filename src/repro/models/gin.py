@@ -70,8 +70,9 @@ class GIN(Module):
         """Logits ``[n, out_dim]`` of a graph, or of a row set's layered blocks."""
         h = x if x is not None else Tensor(graph.features)
         for i, conv in enumerate(self.convs):
-            h = self.dropout(h, rng)
-            h = conv(graph.layer(i), h)
+            layer = graph.layer(i)
+            h = self.dropout(h, rng, layer.dropout_rows)
+            h = conv(layer, h)
             if i < self.num_layers - 1:
                 h = h.relu()
         return h

@@ -47,7 +47,7 @@ class MLP(Module):
         rows, or of a row set's blocks)."""
         h = x if x is not None else Tensor(graph.features)
         for i, layer in enumerate(self.layers):
-            h = self.dropout(h, rng)
+            h = self.dropout(h, rng, graph.dropout_rows)
             h = layer(h)
             if i < self.num_layers - 1:
                 h = h.relu()

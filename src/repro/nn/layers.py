@@ -48,11 +48,17 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        """Inverted dropout during training; identity in eval mode."""
+    def forward(
+        self, x: Tensor, rng: np.random.Generator | None = None, rows: tuple[np.ndarray, int] | None = None
+    ) -> Tensor:
+        """Inverted dropout during training; identity in eval mode.
+
+        ``rows`` (a view's ``dropout_rows``) gathers a mask drawn over the
+        whole graph, see :func:`~repro.tensor.ops.dropout`.
+        """
         if not self.training or self.p == 0.0 or rng is None:
             return x
-        return ops.dropout(x, self.p, rng, training=True)
+        return ops.dropout(x, self.p, rng, training=True, rows=rows)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

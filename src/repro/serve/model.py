@@ -7,8 +7,9 @@ behind one scoring entry point, :meth:`ServedModel.scores_at`. An
 field, so ``scores_at`` runs the forward on layered blocks built for the
 flush's rows (:mod:`repro.graph.blocks`): a flush of 8 nodes computes
 their field, not the whole graph. When the field is so wide that blocks
-would cost more than the full pass (:data:`BLOCK_EDGE_SHARE`), the flush
-runs on the whole graph, the trivial block, instead. Either way a row's
+would cost more than the full pass, the flush runs on the whole graph,
+the trivial block, instead; :func:`~repro.graph.blocks.forward_field`
+makes that choice for serving and training alike. Either way a row's
 logits are bit-identical to the full-graph pass. That is the whole
 serving determinism contract: a node's score row never depends on which
 other nodes share its batch, so any coalescing/arrival order produces
@@ -30,7 +31,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..graph.blocks import build_blocks
+from ..graph.blocks import forward_field
 from ..models import build_model
 from ..telemetry import metrics
 from ..train import evaluate_logits
@@ -41,23 +42,12 @@ from ..distributed.cluster import WorkerRole
 from ..distributed.shm import attach_graph_ref
 
 __all__ = [
-    "BLOCK_EDGE_SHARE",
     "SERVE_ROLE",
     "ServedModel",
     "state_digest",
     "state_to_wire",
     "state_from_wire",
 ]
-
-#: Widest field a flush is scored on layered blocks: the share of the full
-#: pass's SpMM edges (``num_hops * graph.num_edges``) the blocks read. A
-#: wider flush runs on the whole graph. Blocks pay for slicing the
-#: operators and gathering rows, so at full coverage they cost 1.3x (GAT)
-#: to 2.1x (SAGE) the full pass; the crossover lies at a share of ~0.6
-#: (SAGE) to ~0.75 (GAT), measured in docs/performance.md ("Serving on
-#: layered blocks").
-BLOCK_EDGE_SHARE = 0.5
-
 
 def state_to_wire(state: dict) -> tuple:
     """A picklable ``((name, float64 array), ...)`` image of a state dict.
@@ -144,26 +134,15 @@ class ServedModel:
     def num_classes(self) -> int:
         return self.graph.num_classes
 
-    def field(self, rows: np.ndarray):
-        """What a flush of sorted unique ``rows`` runs its forward on.
-
-        The layered blocks of ``rows`` (built per call, outside the graph's
-        block cache, so serving never evicts the souping row sets), or the
-        whole graph when the blocks' SpMMs would read more than
-        :data:`BLOCK_EDGE_SHARE` of the full pass's edges.
-        """
-        blocks = build_blocks(self.graph, rows, self._model.num_hops)
-        if blocks.num_edges > BLOCK_EDGE_SHARE * len(blocks.layers) * self.graph.num_edges:
-            return self.graph
-        return blocks
-
     def scores_at(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Score rows for the requested nodes as ``(rows, scores)``.
 
         ``rows`` are the sorted unique int64 node ids and ``scores`` the
         ``[len(rows), C]`` float64 block, row ``i`` scoring ``rows[i]``.
-        One forward on :meth:`field` (N for an ensemble, sharing the
-        blocks), bit-identical to the full-graph pass at every row — a row
+        One forward on the flush's :func:`~repro.graph.blocks.forward_field`
+        (N for an ensemble, sharing the blocks; built per call, outside the
+        graph's block cache, so serving never evicts the souping row sets),
+        bit-identical to the full-graph pass at every row — a row
         is the same bytes whether the node arrived alone or in a 10 000-node
         batch. Out-of-range ids raise ``ValueError`` (the serving frontend
         turns that into a per-request error reply).
@@ -177,7 +156,7 @@ class ServedModel:
             )
         start = time.monotonic()
         rows = np.unique(ids)
-        field = self.field(rows)
+        field = forward_field(self.graph, rows, self._model.num_hops, cached=False)
         at = field.positions(rows)
         if not self.ensemble:
             scores = evaluate_logits(self._model, field)[at]

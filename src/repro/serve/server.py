@@ -20,7 +20,7 @@ them from three layers, cheapest first:
    refills.
 
 Why coalescing is maximal here: a flush runs the forward on its rows'
-``L``-hop field (layered blocks, :meth:`~repro.serve.model.ServedModel.field`),
+``L``-hop field (layered blocks, :func:`~repro.graph.blocks.forward_field`),
 capped at one full-graph pass. Fields of different rows overlap heavily
 (on products at scale 0.5, 8 random nodes already reach ~2,500 input
 rows), so one wide flush costs far less than the same rows split into
@@ -42,7 +42,11 @@ predictions regardless of arrival order, batching, caching, or backend.
 Worker death mid-request is the cluster service's problem, not ours: the
 lost flush is conservatively resubmitted and the request completes on a
 survivor or a respawn. A worker-side *error* fails only the requests
-waiting on that flush; the server keeps serving.
+waiting on that flush; the server keeps serving. A fault in the serve
+loop itself (a bug) stops serving loudly: it is counted as
+``serve.internal_errors``, its traceback printed, the waiting requests
+failed, and the listener and every client connection closed, so clients
+get an error at once instead of waiting out their timeout.
 
 Security note: like the cluster wire protocol this frontend speaks
 unauthenticated pickle — bind it to loopback (the default) or a trusted
@@ -55,6 +59,7 @@ import queue
 import socket
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,7 +352,14 @@ class PredictionServer:
                 sock.close()
                 continue
             with self._conns_lock:
-                self._conns.add(conn)
+                # the serve loop's hang-up sets the stop flag, then closes
+                # the conns it finds under this lock: never add one after
+                stopped = self._stop.is_set()
+                if not stopped:
+                    self._conns.add(conn)
+            if stopped:
+                sock.close()
+                return
             threading.Thread(
                 target=self._reader_loop, args=(conn,), daemon=True, name="serve-reader"
             ).start()
@@ -400,9 +412,13 @@ class PredictionServer:
         except WorkerLossError as exc:
             self._fail_all(f"serving backend lost its workers: {exc}")
             self._stop.set()
-        except Exception as exc:  # pragma: no cover - defensive
+            self._hang_up()
+        except Exception as exc:
+            metrics.inc("serve.internal_errors")
+            traceback.print_exc()
             self._fail_all(f"internal serving error: {exc!r}")
             self._stop.set()
+            self._hang_up()
 
     def _tick(self, now: float) -> float:
         """How long the loop may sleep on the inbox right now."""
@@ -606,12 +622,9 @@ class PredictionServer:
 
     # -- shutdown ------------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._stop.set()
-        self._inbox.put(("wake",))
+    def _hang_up(self) -> None:
+        """Close the listener and every client connection (no joins, so the
+        serve loop may call it on itself)."""
         if self._listener is not None:
             # close() alone does not wake a thread blocked in accept() on
             # Linux; shutdown() does, so the accept thread's join is prompt
@@ -627,10 +640,23 @@ class PredictionServer:
             conns = list(self._conns)
         for conn in conns:
             conn.alive = False
+            # shutdown wakes the conn's reader and sends the client EOF
+            try:
+                conn.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 conn.sock.close()
             except OSError:
                 pass
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._stop.set()
+        self._inbox.put(("wake",))
+        self._hang_up()
         for thread in self._threads:
             thread.join(timeout=10.0)
         if self._backend is not None:

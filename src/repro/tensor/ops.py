@@ -50,18 +50,32 @@ def weighted_combine(weights: Tensor, stacked: np.ndarray) -> Tensor:
     return Tensor._make(out_data, (weights,), vjp)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+def dropout(
+    x: Tensor,
+    p: float,
+    rng: np.random.Generator,
+    training: bool = True,
+    rows: tuple[np.ndarray, int] | None = None,
+) -> Tensor:
     """Inverted dropout: zero with probability ``p``, scale survivors by 1/(1-p).
 
     The mask is drawn from the caller's RNG so each souping/training run is
-    reproducible, and it is a constant w.r.t. autograd.
+    reproducible, and it is a constant w.r.t. autograd. With ``rows =
+    (ids, total)``, ``x`` holds rows ``ids`` of a ``total``-row tensor: the
+    mask is drawn over all ``total`` rows and gathered at ``ids``, so the
+    RNG stream and every kept entry match dropout on the whole tensor.
     """
     if not training or p <= 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
+    if rows is None:
+        kept = rng.random(x.shape) < keep
+    else:
+        ids, total = rows
+        kept = (rng.random((total,) + x.shape[1:]) < keep)[ids]
+    mask = kept.astype(x.data.dtype) / keep
     return x * Tensor(mask)
 
 

@@ -4,6 +4,14 @@
 minibatch, Adam/AdamW/SGD, optional early stopping, best-validation-epoch
 checkpointing. The returned :class:`TrainResult` carries the trained state
 dict plus val/test accuracy — the inputs the souping algorithms consume.
+
+Every step and evaluation pass runs on the layered blocks of the rows its
+loss or accuracy reads (:func:`~repro.graph.blocks.forward_field`): the
+train split's cached blocks for a full-batch step, each sampled
+subgraph's seed blocks for a minibatch step, the validation and test
+splits' cached blocks for evaluation. Logits and dropout masks at those
+rows are the full pass's bits; parameters match a full-graph run to
+float rounding.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..graph.blocks import forward_field
 from ..graph.graph import Graph
 from ..graph.sampling import NeighborSampler, khop_subgraph
 from ..nn import Module, cross_entropy
@@ -132,19 +141,19 @@ def evaluate_logits(model: Module, graph: Graph) -> np.ndarray:
 def evaluate_rows(model: Module, graph: Graph, rows: np.ndarray) -> np.ndarray:
     """Inference-mode logits at ``rows`` (in the given order).
 
-    Runs the model on the graph's cached layered blocks for ``rows``
-    (:meth:`Graph.blocks`, ``model.num_hops`` layers deep), so only the
-    rows the logits depend on are computed: bit-identical to
+    Runs the model on :func:`~repro.graph.blocks.forward_field`: the
+    graph's cached layered blocks for ``rows`` (``model.num_hops`` layers
+    deep), so only the rows the logits depend on are computed (a
+    memory-budgeted store graph runs whole). Bit-identical to
     ``evaluate_logits(model, graph)[rows]``.
     """
-    blocks = graph.blocks(rows, model.num_hops)
-    return evaluate_logits(model, blocks)[blocks.positions(rows)]
+    field = forward_field(graph, rows, model.num_hops)
+    return evaluate_logits(model, field)[field.positions(rows)]
 
 
 def evaluate(model: Module, graph: Graph, idx: np.ndarray) -> float:
-    """Accuracy of the model on the given node indices."""
-    logits = evaluate_logits(model, graph)
-    return accuracy(logits[idx], graph.labels[idx])
+    """Accuracy of the model on the given node indices (:func:`evaluate_rows`)."""
+    return accuracy(evaluate_rows(model, graph, idx), graph.labels[idx])
 
 
 def evaluate_blocked(model: Module, graph: Graph, idx: np.ndarray, batch_size: int = 512) -> float:
@@ -204,12 +213,22 @@ def train_model(
             "full-batch training on a memory-budgeted store-backed graph would "
             "materialise the full feature matrix; set minibatch=True"
         )
-    features = None if cfg.minibatch else Tensor(graph.features)
+    hops = model.num_hops
+    if not cfg.minibatch:
+        # the train split's field, cached on the graph for every ingredient
+        train_field = forward_field(graph, train_idx, hops)
+        features = Tensor(train_field.features)
+        train_at = train_field.positions(train_idx)
 
     def run_eval(idx: np.ndarray) -> float:
+        t0 = time.perf_counter() if metrics.enabled else 0.0
         if budgeted_store:
-            return evaluate_blocked(model, graph, idx, batch_size=cfg.batch_size)
-        return evaluate(model, graph, idx)
+            acc = evaluate_blocked(model, graph, idx, batch_size=cfg.batch_size)
+        else:
+            acc = evaluate(model, graph, idx)
+        if metrics.enabled:
+            metrics.observe("train.eval_s", time.perf_counter() - t0)
+        return acc
 
     pipeline: PrefetchPipeline | None = None
     if cfg.minibatch:
@@ -272,8 +291,9 @@ def train_model(
                 epoch_loss, n_batches = 0.0, 0
                 for batch_index, (sub, seed_pos) in enumerate(pipeline.epoch(epoch)):
                     with metrics.span("pipeline.compute", epoch=epoch, batch=batch_index):
-                        logits = model(sub, Tensor(sub.features), rng)
-                        loss = cross_entropy(logits[seed_pos], sub.labels[seed_pos])
+                        field = forward_field(sub, seed_pos, hops, backward=True, cached=False)
+                        logits = model(field, Tensor(field.features), rng)
+                        loss = cross_entropy(logits[field.positions(seed_pos)], sub.labels[seed_pos])
                         optimizer.zero_grad()
                         loss.backward()
                         optimizer.step()
@@ -281,8 +301,8 @@ def train_model(
                     n_batches += 1
                 mean_loss = epoch_loss / max(n_batches, 1)
             else:
-                logits = model(graph, features, rng)
-                loss = cross_entropy(logits[train_idx], graph.labels[train_idx])
+                logits = model(train_field, features, rng)
+                loss = cross_entropy(logits[train_at], graph.labels[train_idx])
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()

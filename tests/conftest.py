@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.graph import GeneratorConfig, homophilous_graph
+from repro.graph.blocks import forward_field
 from repro.distributed import train_ingredients
 from repro.train import TrainConfig
 
@@ -95,3 +96,30 @@ def small_pool(small_graph):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _crossing(graph, hops: int, backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Two row sets one node apart on either side of ``forward_field``'s
+    crossover: the shorter runs on blocks, the longer on the whole graph."""
+
+    def on_graph(k: int) -> bool:
+        rows = np.unique(order[:k])
+        return forward_field(graph, rows, hops, backward=backward, cached=False) is graph
+
+    order = np.random.default_rng(5).permutation(graph.num_nodes)
+    lo, hi = 1, graph.num_nodes
+    assert on_graph(hi) and not on_graph(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if on_graph(mid):
+            hi = mid
+        else:
+            lo = mid
+    return np.unique(order[:lo]), np.unique(order[:hi])
+
+
+@pytest.fixture
+def crossing():
+    """``crossing(graph, hops, backward=False)``: row sets either side of
+    the blocks-vs-graph rule."""
+    return _crossing

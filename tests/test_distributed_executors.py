@@ -29,6 +29,9 @@ from repro.distributed import (
     run_fingerprint,
     train_ingredients,
 )
+from repro.graph import GeneratorConfig, homophilous_graph
+from repro.graph.blocks import Blocks, forward_field
+from repro.serve.model import state_digest
 from repro.train import TrainConfig, TrainResult
 
 
@@ -87,6 +90,35 @@ class TestExecutorEquivalence:
         strict integer rule rejects booleans and non-numbers too."""
         with pytest.raises(ValueError, match="integer"):
             train_ingredients("gcn", tiny_graph, 1, num_workers=bad, **KW)
+
+
+class TestBlockTrainingAcrossExecutors:
+    """Ingredients trained on layered blocks: every worker builds its own
+    block cache (under spawn too, from a re-imported module) and still
+    yields the serial pool's bits."""
+
+    SPARSE = GeneratorConfig(
+        num_nodes=500, num_classes=4, avg_degree=3.0, homophily=0.7, feature_dim=10,
+        feature_noise=1.0, split=(0.1, 0.1, 0.8), name="sparse",
+    )
+
+    @pytest.mark.parametrize(
+        "arch, cfg",
+        [
+            ("sage", TrainConfig(epochs=3, lr=0.05)),
+            ("gat", TrainConfig(epochs=2, lr=0.05, minibatch=True, batch_size=16, fanout=3)),
+        ],
+        ids=["full-batch", "minibatch"],
+    )
+    def test_pool_digest_matches_serial(self, arch, cfg):
+        graph = homophilous_graph(self.SPARSE, seed=2)
+        field = forward_field(graph, graph.train_idx, 2)
+        assert isinstance(field, Blocks) and len(field.input_rows) < graph.num_nodes
+        kw = dict(train_cfg=cfg, base_seed=5, hidden_dim=8, attn_dropout=0.2)
+        serial = train_ingredients(arch, graph, 3, executor="serial", **kw)
+        proc = train_ingredients(arch, graph, 3, executor="process", num_workers=2, **kw)
+        assert state_digest(proc.states) == state_digest(serial.states)
+        assert_pools_identical(serial, proc)
 
 
 class TestExecutionMatrix:

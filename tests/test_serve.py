@@ -24,11 +24,11 @@ import pytest
 from repro.cli import main
 from repro.distributed.cluster import _recv_frame, _send_frame
 from repro.graph import GeneratorConfig, homophilous_graph
-from repro.graph.blocks import Blocks
+from repro.graph.blocks import Blocks, forward_field
 from repro.models import build_model
 from repro.serve import NodeCache, PredictionServer, ServeClient, ServeConfig, ServeError
 from repro.serve.loadgen import run_load
-from repro.serve.model import BLOCK_EDGE_SHARE, ServedModel, state_digest
+from repro.serve.model import ServedModel, state_digest
 from repro.serve.server import _AdaptiveLimit
 from repro.soup import soup
 from repro.soup.ensemble import _softmax
@@ -168,19 +168,9 @@ def sparse_graph():
     return homophilous_graph(SPARSE_CFG, seed=3)
 
 
-def crossing(model: ServedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Two flushes one node apart on either side of the crossover: the
-    shorter is scored on blocks, the longer on the whole graph."""
-    order = np.random.default_rng(5).permutation(model.num_nodes)
-    lo, hi = 1, model.num_nodes  # field(order[:lo]) is blocks, field(order[:hi]) the graph
-    assert model.field(np.unique(order[:hi])) is model.graph
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if model.field(np.unique(order[:mid])) is model.graph:
-            hi = mid
-        else:
-            lo = mid
-    return np.unique(order[:lo]), np.unique(order[:hi])
+def flush_field(model: ServedModel, rows):
+    """What a flush of ``rows`` runs on: serving's per-call blocks or the graph."""
+    return forward_field(model.graph, np.unique(rows), model._model.num_hops, cached=False)
 
 
 class TestServedModelOnBlocks:
@@ -189,7 +179,7 @@ class TestServedModelOnBlocks:
 
     @pytest.mark.parametrize("ensemble", [False, True], ids=["soup", "ensemble"])
     @pytest.mark.parametrize("arch", ["sage", "gcn", "gat", "gin", "mlp"])
-    def test_rows_match_full_pass(self, sparse_graph, arch, ensemble):
+    def test_rows_match_full_pass(self, sparse_graph, arch, ensemble, crossing):
         graph = sparse_graph
         config = dict(arch=arch, in_dim=graph.feature_dim, out_dim=graph.num_classes, hidden_dim=12, num_heads=3)
         seeds = (0, 1, 2) if ensemble else (0,)
@@ -205,20 +195,18 @@ class TestServedModelOnBlocks:
 
         small = {"one": [17], "dup-unsorted": [412, 3, 412, 250, 3], "few": [9, 400, 77, 123]}
         for name, ids in small.items():
-            field = served.field(np.unique(ids))
+            field = flush_field(served, ids)
             assert isinstance(field, Blocks), name
             assert len(field.input_rows) < n, name
             for block in field.layers:  # a strict subset of the graph at every layer
                 assert len(block.src) < n, name
         flushes = dict(small, all=range(n))
         if arch == "mlp":  # no field to grow: every flush is its own rows
-            assert isinstance(served.field(np.arange(n)), Blocks)
+            assert isinstance(flush_field(served, np.arange(n)), Blocks)
         else:
-            under, past = crossing(served)
-            assert isinstance(served.field(under), Blocks)
-            blocks = served.field(under)
-            assert blocks.num_edges <= BLOCK_EDGE_SHARE * len(blocks.layers) * graph.num_edges
-            assert served.field(np.arange(n)) is graph
+            under, past = crossing(graph, served._model.num_hops)
+            assert isinstance(flush_field(served, under), Blocks)
+            assert flush_field(served, past) is graph
             flushes.update(under=under, past=past)
         for name, ids in flushes.items():
             rows, scores = served.scores_at(ids)
@@ -381,11 +369,11 @@ class TestPredictionServerSerial:
 
 class TestPredictionServerCluster:
     @pytest.mark.parametrize("backend", ["pipe", "tcp"])
-    def test_backends_bit_identical_to_serial(self, served, backend):
+    def test_backends_bit_identical_to_serial(self, served, backend, crossing):
         """Workers score through the same ServedModel: small flushes on
         blocks and wide ones on the whole graph, each bit-identical."""
         pool, graph, state, ref = served
-        under, past = crossing(ServedModel(pool.model_config, graph, [state]))
+        under, past = crossing(graph, ServedModel(pool.model_config, graph, [state])._model.num_hops)
         # one request per flush: nothing else is pending, and max_batch
         # holds the widest request whole
         config = ServeConfig(
@@ -474,6 +462,44 @@ class TestClientGone:
                 gc.collect()
         leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaked, [str(w.message) for w in leaked]
+
+
+class TestServeLoopFault:
+    def test_internal_error_hangs_up_every_client(self, served, capsys):
+        """A bug in the serve loop stops serving loudly: counted, traceback
+        printed, and every client told at once rather than timing out."""
+        pool, graph, state, ref = served
+        config = ServeConfig(backend="serial", cache_nodes=0, max_wait_s=0.001)
+        metrics.reset()
+        metrics.set_enabled(True)
+        try:
+            with PredictionServer(pool.model_config, graph, [state], config=config) as srv:
+                srv.start()
+                host, port = srv.address
+                handle = srv._handle_event
+
+                def faulty(event):
+                    if event[0] == "request" and event[2][0] == "predict" and list(event[2][2]) == [13]:
+                        raise RuntimeError("injected serve-loop fault")
+                    handle(event)
+
+                srv._handle_event = faulty
+                with ServeClient(host, port, timeout=30) as first, ServeClient(host, port, timeout=30) as second:
+                    assert np.array_equal(second.predict([1]), ref[[1]])
+                    with pytest.raises(ServeError):
+                        first.predict([13])
+                    start = time.monotonic()
+                    with pytest.raises(ServeError):
+                        second.predict([2])
+                    assert time.monotonic() - start < 1.0
+                with pytest.raises(OSError):
+                    socket.create_connection((host, port), timeout=1.0).close()
+                assert metrics.counter_value("serve.internal_errors") == 1
+            err = capsys.readouterr().err
+            assert "Traceback" in err and "injected serve-loop fault" in err
+        finally:
+            metrics.reset()
+            metrics.set_enabled(False)
 
 
 class TestMalformedFrames:

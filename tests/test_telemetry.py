@@ -244,3 +244,26 @@ class TestReport:
         # only the driver's track metadata, no span events
         events = chrome_trace(report)["traceEvents"]
         assert all(e["ph"] == "M" for e in events)
+
+
+class TestPhase1Evaluation:
+    """The validation passes ``train.epoch_step_s`` leaves out are observed
+    on their own, as ``train.eval_s``."""
+
+    def test_eval_time_reaches_the_summary(self, tiny_graph, tmp_path, capsys):
+        from repro.cli import main
+        from repro.models import build_model
+        from repro.train import TrainConfig, train_model
+
+        model = build_model("sage", tiny_graph.feature_dim, tiny_graph.num_classes, hidden_dim=8)
+        metrics.set_enabled(True)
+        train_model(model, tiny_graph, TrainConfig(epochs=4, eval_every=2), seed=0)
+        report = build_report()
+        # epochs 2 and 4 validate, then the restored best state is tested
+        assert report.histogram_total("train.eval_s")["count"] == 3
+        assert report.histogram_total("train.epoch_step_s")["count"] == 4
+        path = tmp_path / "report.json"
+        write_metrics(report, path)
+        assert main(["telemetry", "summarize", str(path)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "train.eval_s" in ln)
+        assert line.split()[1] == "3"
