@@ -15,7 +15,7 @@ identical scheduling semantics as a deterministic **list scheduler** (jobs
 pulled from the queue by the earliest-free worker), so the schedule,
 makespan, idle time and both equations are measurable exactly. The actual
 training computation runs through :mod:`repro.distributed.ingredients`,
-serially, on a thread pool, or on a process pool.
+serially or on a process pool.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ from .csr import CSR, MessageStructure
 
 __all__ = ["Graph"]
 
-#: Guards every graph's block cache: concurrent souping methods (the
-#: experiment runner's thread fan-out) share one graph. Module-level so
-#: graphs stay picklable.
+#: Guards every graph's block cache, an LRU ``OrderedDict`` that even a hit
+#: reorders: one graph can be read from two threads at once (a prediction
+#: server's serve loop and a caller evaluating on the same graph).
+#: Module-level so graphs stay picklable.
 _BLOCK_LOCK = threading.Lock()
 
 

@@ -3,8 +3,8 @@
 Every souping algorithm returns a :class:`SoupResult` carrying the mixed
 state dict plus the three quantities the paper's evaluation tables report:
 test accuracy (Table II), souping wall-time (Table III) and peak memory
-(Fig. 4b). ``run_souped_eval`` centralises the instrumented execution so
-the methods are measured identically.
+(Fig. 4b). :class:`instrumented` bundles the timer and memory meter every
+method runs inside, so the methods are measured identically.
 """
 
 from __future__ import annotations

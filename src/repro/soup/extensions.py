@@ -146,6 +146,8 @@ def ingredient_dropout_soup(
                 optimizer.step()
                 scheduler.step()
                 epoch_alphas.append(alphas.data.copy())
+                # free the epoch's tape before the next forward
+                del logits, loss, soup_params
 
             if cfg.select_best:
                 # holdout uses the *unmasked* mixture (the deployment soup)

@@ -26,16 +26,24 @@ runs on the validation rows' layered blocks (:meth:`Graph.blocks`), so
 each layer computes only the rows the validation logits depend on; the
 logits are the full pass's bits, the alpha gradients match it to float
 rounding (the weight-gradient GEMMs sum over fewer all-zero rows).
+
+PLS (Algorithm 4) runs the same descent: :func:`descend_and_select`
+takes an epoch-field source, and LS is the source that returns the
+validation blocks every epoch (:func:`validation_field`), PLS the one that
+draws a partition union (:mod:`repro.soup.partition_learned`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..distributed.ingredients import IngredientPool
+from ..graph.blocks import Blocks
 from ..graph.graph import Graph
 from ..nn import cross_entropy, functional_params
 from ..optim import SGD, ConstantLR, CosineAnnealingLR
@@ -176,70 +184,163 @@ def split_validation(
     return val_idx[perm[n_holdout:]], val_idx[perm[:n_holdout]]
 
 
-def _alpha_descent(
-    model,
-    graph: Graph,
-    stacks: dict,
-    group_of: dict[str, int],
-    n_groups: int,
-    n_ingredients: int,
-    cfg: SoupConfig,
-    seed: int,
-) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
-    """One LS restart: Eq. (4) descent from ``seed``; returns the selected
-    alphas and the ``(epoch, loss, holdout_acc)`` history."""
+class EpochField(NamedTuple):
+    """What one alpha epoch reads: ``blocks`` over a graph, that graph's
+    ``labels``, and the alpha-train and holdout ids in it. ``nbytes`` is
+    counted as resident while the epoch runs (a drawn subgraph's payload;
+    0 for the resident validation field)."""
+
+    blocks: Blocks
+    labels: np.ndarray
+    train_ids: np.ndarray
+    holdout_ids: np.ndarray
+    nbytes: int
+
+
+# ``source(alpha_train_idx, holdout_idx, hops)`` is called once per restart
+# and returns that restart's ``draw(rng)``: the next epoch's field, or
+# ``None`` when the epoch holds no alpha-train row (it is skipped)
+FieldSource = Callable[[np.ndarray, np.ndarray, int], Callable[[np.random.Generator], "EpochField | None"]]
+
+
+def validation_field(graph: Graph) -> FieldSource:
+    """LS's field: every epoch reads the validation rows' cached layered
+    blocks (§III-E's ``O(e (F_v + B_v))`` epoch)."""
+
+    def source(train_idx: np.ndarray, holdout_idx: np.ndarray, hops: int):
+        field = EpochField(graph.blocks(graph.val_idx, hops), graph.labels, train_idx, holdout_idx, 0)
+        return lambda rng: field
+
+    return source
+
+
+def _descend(
+    model, graph: Graph, stacks: dict, group_of: dict[str, int], alpha_shape: tuple[int, int],
+    cfg: SoupConfig, seed: int, field_source: FieldSource, meter,
+) -> tuple[np.ndarray, list[tuple[int, float, float]], int]:
+    """One restart: Eq. (4)/(6) descent from ``seed`` over the epoch fields
+    ``field_source`` draws; returns the selected ``[N, G]`` alphas, the
+    ``(epoch, loss, holdout_acc)`` history and the number of skipped epochs."""
     rng = np.random.default_rng(seed)
-    alpha_train_idx, holdout_idx = split_validation(graph, cfg.holdout_fraction, rng)
-    train_labels = graph.labels[alpha_train_idx]
-    holdout_labels = graph.labels[holdout_idx]
-    # the loss and the holdout read validation rows only: run the descent
-    # on their layered blocks (§III-E's O(e (F_v + B_v)) epoch)
-    blocks = graph.blocks(graph.val_idx, model.num_hops)
-    train_pos = blocks.positions(alpha_train_idx)
-    holdout_pos = blocks.positions(holdout_idx)
+    # the alpha-train/holdout split is defined on *global* node ids so the
+    # objective is the same whichever subgraph an epoch reads
+    draw = field_source(*split_validation(graph, cfg.holdout_fraction, rng), model.num_hops)
 
     history: list[tuple[int, float, float]] = []
-    alphas = build_alpha(n_ingredients, n_groups, cfg, rng)
+    skipped_epochs = 0
+    alphas = build_alpha(*alpha_shape, cfg, rng)
     optimizer = SGD([alphas], lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     scheduler = CosineAnnealingLR(optimizer, t_max=cfg.epochs) if cfg.cosine else ConstantLR(optimizer)
-    features = Tensor(blocks.features)
 
     best_holdout, best_alpha = -1.0, alphas.data.copy()
     patience_left = cfg.early_stopping if cfg.early_stopping else None
-    batched = 0 < cfg.val_batch_size < len(alpha_train_idx)
     for epoch in range(1, cfg.epochs + 1):
-        weights = alpha_weights(alphas, cfg)
-        soup_params = combine_with_alphas(weights, stacks, group_of)
-        with functional_params(model, soup_params):
-            logits = model(blocks, features)
-        if batched:
+        field = draw(rng)
+        if field is None:
+            skipped_epochs += 1
+            scheduler.step()
+            continue
+        train_ids, holdout_ids, blocks = field.train_ids, field.holdout_ids, field.blocks
+        if 0 < cfg.val_batch_size < len(train_ids):
             # §VI-A: "techniques like minibatching to stabilize training" —
-            # each alpha step scores a fresh random subset of the
-            # validation nodes, trading gradient noise for robustness to
-            # the hyperparameter sensitivity the paper reports.
-            batch = rng.choice(alpha_train_idx, size=cfg.val_batch_size, replace=False)
-            loss = cross_entropy(logits[blocks.positions(batch)], graph.labels[batch])
-        else:
-            loss = cross_entropy(logits[train_pos], train_labels)
-        if cfg.alpha_entropy_coef:
-            loss = loss + entropy_penalty(weights) * cfg.alpha_entropy_coef
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        scheduler.step()
-        holdout_acc = accuracy(logits.data[holdout_pos], holdout_labels)
+            # each alpha step scores a fresh random subset of the epoch's rows
+            train_ids = rng.choice(train_ids, size=cfg.val_batch_size, replace=False)
+        with meter.transient(field.nbytes):
+            weights = alpha_weights(alphas, cfg)
+            soup_params = combine_with_alphas(weights, stacks, group_of)
+            with functional_params(model, soup_params):
+                logits = model(blocks, Tensor(blocks.features))
+            loss = cross_entropy(logits[blocks.positions(train_ids)], field.labels[train_ids])
+            if cfg.alpha_entropy_coef:
+                loss = loss + entropy_penalty(weights) * cfg.alpha_entropy_coef
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            scheduler.step()
+            holdout = logits.data[blocks.positions(holdout_ids)]
+            holdout_acc = accuracy(holdout, field.labels[holdout_ids]) if len(holdout_ids) else -1.0
         history.append((epoch, float(loss.data), holdout_acc))
+        # free the epoch's tape and field before the next draw
+        del logits, loss, soup_params, field, blocks
         if cfg.select_best and holdout_acc > best_holdout:
             best_holdout, best_alpha = holdout_acc, alphas.data.copy()
             if patience_left is not None:
                 patience_left = cfg.early_stopping
-        elif patience_left is not None:
+        elif patience_left is not None and holdout_acc >= 0:
             patience_left -= 1
             if patience_left <= 0:
                 break
-    if not cfg.select_best:
+    if not cfg.select_best or best_holdout < 0:
         best_alpha = alphas.data.copy()
-    return best_alpha, history
+    return best_alpha, history, skipped_epochs
+
+
+def descend_and_select(
+    method: str,
+    pool: IngredientPool,
+    graph: Graph,
+    cfg: SoupConfig,
+    field_source: FieldSource,
+    evaluator: Evaluator | None = None,
+    resident: Graph | None = None,
+) -> SoupResult:
+    """Run ``cfg.n_restarts`` alpha descents over ``field_source`` and
+    return the winning soup.
+
+    Restart ``r`` descends from seed ``cfg.seed + r`` (fresh holdout split,
+    alpha init and field draws); the restart soups are scored on the
+    validation split as **one evaluator batch** and the best wins (ties:
+    lowest seed). ``resident`` is the graph held in memory throughout
+    (LS's; ``None`` for PLS, whose epochs count their own subgraph).
+    """
+    model = pool.make_model()
+    model.eval()  # deterministic forward; dropout off for the alpha objective
+    names = pool.param_names()
+    group_ids, group_names = layer_groups(names, cfg.granularity)
+    group_of = {name: int(g) for name, g in zip(names, group_ids)}
+    group_vec = np.asarray(group_ids, dtype=np.int64)
+
+    with evaluation(evaluator, pool, graph) as ev:
+        with instrumented(method, pool, resident) as probe:
+            stacks = pool.stacked_params()
+            for stack in stacks.values():
+                probe.track_array(stack)
+            restarts = [
+                _descend(model, graph, stacks, group_of, (len(pool), len(group_names)),
+                         cfg, cfg.seed + r, field_source, probe.meter)
+                for r in range(cfg.n_restarts)
+            ]
+            restart_weights = [alpha_weights(Tensor(alpha), cfg).data for alpha, _, _ in restarts]
+            restart_val_accs = ev.evaluate(
+                [Candidate(weights=w, groups=group_vec, split="val") for w in restart_weights]
+            )
+            winner = int(np.argmax(restart_val_accs))
+            best_alpha, history, _ = restarts[winner]
+            final_weights = restart_weights[winner]
+            soup_state = ev.mix(final_weights, groups=group_vec)
+            probe.track_state_dict(soup_state)
+        test_acc = ev.accuracy_of(weights=final_weights, groups=group_vec, split="test")
+
+    return SoupResult(
+        method=method,
+        state_dict=soup_state,
+        val_acc=restart_val_accs[winner],
+        test_acc=test_acc,
+        soup_time=probe.elapsed,
+        peak_memory=probe.peak,
+        extras={
+            "alphas": best_alpha,
+            "weights": final_weights,
+            "group_names": group_names,
+            "history": history,
+            "n_ingredients": len(pool),
+            "config": cfg,
+            "skipped_epochs": sum(skipped for _, _, skipped in restarts),
+            "n_restarts": cfg.n_restarts,
+            "restart_val_accs": [float(a) for a in restart_val_accs],
+            "best_restart": winner,
+        },
+    )
 
 
 def learned_soup(
@@ -253,57 +354,8 @@ def learned_soup(
     With ``cfg.n_restarts > 1`` the alpha descent is repeated from seeds
     ``cfg.seed .. cfg.seed + R - 1`` (fresh Xavier init *and* fresh
     holdout split each time — LS is sensitive to both, §VI-A) and the
-    restart soups are scored on the validation split as **one evaluator
-    batch**; the best restart wins (ties: lowest seed).
+    best restart on the validation split wins (:func:`descend_and_select`).
     """
-    cfg = cfg or SoupConfig()
-    model = pool.make_model()
-    model.eval()  # deterministic forward; dropout off for the alpha objective
-    names = pool.param_names()
-    group_ids, group_names = layer_groups(names, cfg.granularity)
-    group_of = {name: int(g) for name, g in zip(names, group_ids)}
-    group_vec = np.asarray(group_ids, dtype=np.int64)
-
-    with evaluation(evaluator, pool, graph) as ev:
-        with instrumented("ls", pool, graph) as probe:
-            stacks = pool.stacked_params()
-            for stack in stacks.values():
-                probe.track_array(stack)
-            restart_alphas: list[np.ndarray] = []
-            restart_histories: list[list[tuple[int, float, float]]] = []
-            for r in range(cfg.n_restarts):
-                best_alpha, history = _alpha_descent(
-                    model, graph, stacks, group_of, len(group_names), len(pool), cfg, cfg.seed + r
-                )
-                restart_alphas.append(best_alpha)
-                restart_histories.append(history)
-            restart_weights = [alpha_weights(Tensor(a), cfg).data for a in restart_alphas]
-            restart_val_accs = ev.evaluate(
-                [Candidate(weights=w, groups=group_vec, split="val") for w in restart_weights]
-            )
-            winner = int(np.argmax(restart_val_accs))
-            best_alpha = restart_alphas[winner]
-            final_weights = restart_weights[winner]
-            soup_state = ev.mix(final_weights, groups=group_vec)
-            probe.track_state_dict(soup_state)
-        test_acc = ev.accuracy_of(weights=final_weights, groups=group_vec, split="test")
-
-    return SoupResult(
-        method="ls",
-        state_dict=soup_state,
-        val_acc=restart_val_accs[winner],
-        test_acc=test_acc,
-        soup_time=probe.elapsed,
-        peak_memory=probe.peak,
-        extras={
-            "alphas": best_alpha,
-            "weights": final_weights,
-            "group_names": group_names,
-            "history": restart_histories[winner],
-            "n_ingredients": len(pool),
-            "config": cfg,
-            "n_restarts": cfg.n_restarts,
-            "restart_val_accs": [float(a) for a in restart_val_accs],
-            "best_restart": winner,
-        },
+    return descend_and_select(
+        "ls", pool, graph, cfg or SoupConfig(), validation_field(graph), evaluator, resident=graph
     )

@@ -73,11 +73,17 @@ class TestPipeline:
         pool, results = pipeline
         assert results["gis"].val_acc >= max(pool.val_accs) - 1e-9
 
-    def test_ls_faster_than_gis(self, pipeline):
+    def test_ls_faster_than_gis(self, pipeline, small_graph):
         """RQ1/Table III: gradient-descent souping beats exhaustive search
-        on wall time (with paper-scale N and granularity)."""
-        _, results = pipeline
-        assert results["ls"].soup_time < results["gis"].soup_time
+        on wall time (with paper-scale N and granularity). Compared on the
+        median of three alternating calls of each, so one call slowed by
+        another process on a shared machine cannot decide it."""
+        pool, _ = pipeline
+        ls_times, gis_times = [], []
+        for _ in range(3):
+            ls_times.append(learned_soup(pool, small_graph, SoupConfig(epochs=20, lr=0.5, seed=0)).soup_time)
+            gis_times.append(gis_soup(pool, small_graph, granularity=20).soup_time)
+        assert np.median(ls_times) < np.median(gis_times)
 
     def test_pls_uses_least_memory_of_learned_methods(self, pipeline):
         """RQ2/Fig 4b: PLS peak memory below both LS and GIS."""
